@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--exp all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|magic|serve|compile|store]
-//!       [--scale small|full] [--threads N] [--bench-json [PATH]] [--no-compile]
+//!       [--scale small|full] [--threads N] [--bench-json [PATH]]
 //! ```
 //!
 //! `small` (default) finishes in a few minutes; `full` pushes the sweeps
@@ -25,18 +25,13 @@
 //! closure-chain compiled execution vs the interpreted step machine plus
 //! the linkage distance kernels vs their scalar references
 //! (`BENCH_compile.json`, schema `vadalink-bench-compile/1`); with
-//! `--exp store` it benchmarks the durable sharded store — fixpoint time
-//! across shard counts (byte-identity checked), recovery time vs snapshot
-//! cadence after a simulated crash, and one large-register scale probe
-//! (1M persons at `--full`) — writing `BENCH_store.json` (schema
-//! `vadalink-bench-store/1`). All
+//! `--exp store` it benchmarks the durable store — recovery time vs
+//! snapshot cadence after a simulated crash, and one large-register scale
+//! probe (1M persons at `--full`) — writing `BENCH_store.json` (schema
+//! `vadalink-bench-store/2`). All
 //! documents are validated in-process before they are written, so a
 //! malformed artifact fails loudly — CI smokes every path in release
 //! mode.
-//!
-//! `--no-compile` disables closure-chain compiled execution process-wide
-//! (every engine this run constructs falls back to the interpreted step
-//! machine) — the escape hatch if a compiled-execution bug is suspected.
 //!
 //! `--exp incr` without `--bench-json` prints the same sweep as a table:
 //! per batch size, incremental update latency, full-recompute time, the
@@ -98,9 +93,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
                 par::set_threads(n);
-            }
-            "--no-compile" => {
-                datalog::set_compile_default(false);
             }
             other => {
                 eprintln!("unknown argument {other}");
@@ -416,8 +408,8 @@ fn run_compile(json_path: Option<&str>, full: bool) {
     }
 }
 
-/// Runs the durable-store sweeps (shard scaling, recovery vs snapshot
-/// cadence, register scale); optionally writes + validates the
+/// Runs the durable-store sweeps (recovery vs snapshot cadence, register
+/// scale); optionally writes + validates the
 /// `BENCH_store.json` artifact. Exits non-zero on schema or identity
 /// failure.
 fn run_store(json_path: Option<&str>, full: bool) {
@@ -425,9 +417,7 @@ fn run_store(json_path: Option<&str>, full: bool) {
         persons: if full { 8_000 } else { 2_000 },
         seed: SEED,
         threads: 1,
-        repeats: if full { 3 } else { 2 },
         updates: if full { 200 } else { 50 },
-        shard_counts: vec![1, 2, 4, 8],
         cadences: if full {
             vec![0, 16, 64]
         } else {
@@ -436,28 +426,13 @@ fn run_store(json_path: Option<&str>, full: bool) {
         register_persons: if full { 1_000_000 } else { 20_000 },
     };
     println!(
-        "Durable store bench: sharded fixpoint + crash recovery \
-         ({} persons, {} committed updates, {} repeats, workers = shards)",
-        cfg.persons, cfg.updates, cfg.repeats
+        "Durable store bench: crash recovery + register scale \
+         ({} persons, {} committed updates)",
+        cfg.persons, cfg.updates
     );
     let report = run_store_bench(&cfg);
     println!(
-        "{:>8} {:>12} {:>9} {:>8}",
-        "shards", "eval_s", "speedup", "skew"
-    );
-    for r in &report.shard_rows {
-        println!(
-            "{:>8} {:>12.3} {:>8.2}x {:>8.2}",
-            r.shards, r.eval_secs, r.speedup, r.skew
-        );
-        assert!(
-            r.outputs_match,
-            "shards {}: sharded eval diverged",
-            r.shards
-        );
-    }
-    println!(
-        "\n{:>9} {:>9} {:>12} {:>11} {:>12}",
+        "{:>9} {:>9} {:>12} {:>11} {:>12}",
         "cadence", "commits", "recovery_s", "snapshots", "tail_frames"
     );
     for r in &report.recovery_rows {
@@ -479,8 +454,8 @@ fn run_store(json_path: Option<&str>, full: bool) {
         reg.heap_bytes / (1 << 20)
     );
     println!(
-        "acceptance: every shard count byte-identical; every cadence recovers \
-         canonically identical state (EXPERIMENTS.md)."
+        "acceptance: every cadence recovers canonically identical state \
+         (EXPERIMENTS.md)."
     );
     if let Some(path) = json_path {
         let text = render_store_json(&cfg, &report);

@@ -1,14 +1,7 @@
 //! Durable-store benchmark: `repro --exp store`.
 //!
-//! Two sweeps plus one scale probe, all over deterministically generated
+//! One sweep plus one scale probe, both over deterministically generated
 //! company registers:
-//!
-//! * **Shard scaling** — the control program evaluated through a
-//!   [`ShardedDatabase`] at increasing shard counts. Each row records the
-//!   fixpoint wall time, the speedup against the single-shard row, the
-//!   partition skew (largest shard over the mean) and whether the derived
-//!   database is byte-identical to a plain single-shard engine run — the
-//!   same identity the differential tests pin down.
 //!
 //! * **Recovery vs snapshot cadence** — a durable incremental session
 //!   absorbs a fixed update stream under different `snapshot_every`
@@ -19,10 +12,10 @@
 //!   identical to the pre-crash maintained database.
 //!
 //! * **Register scale** — one large register (1M persons at `--full`)
-//!   loaded, evaluated through the sharded path, snapshotted and
+//!   loaded, evaluated with a plain [`Engine::run`], snapshotted and
 //!   recovered, with the approximate heap footprint recorded.
 //!
-//! The JSON artifact (`BENCH_store.json`, schema `vadalink-bench-store/1`)
+//! The JSON artifact (`BENCH_store.json`, schema `vadalink-bench-store/2`)
 //! follows the writer/validator discipline of [`crate::bench_json`]: the
 //! document is validated in-process right after it is rendered.
 
@@ -31,7 +24,7 @@ use std::time::Instant;
 
 use datalog::{Database, Engine, EngineOptions, FunctionRegistry, IncrementalEngine, Program};
 use gen::company::{generate, CompanyGraphConfig};
-use store::{replay_tail, DurableStore, FsyncPolicy, ShardedDatabase, StoreConfig};
+use store::{replay_tail, DurableStore, FsyncPolicy, StoreConfig};
 use vada_link::mapping::load_facts;
 use vada_link::model::CompanyGraph;
 use vada_link::programs::CONTROL_PROGRAM;
@@ -39,41 +32,23 @@ use vada_link::programs::CONTROL_PROGRAM;
 use crate::bench_json::{check_doc_header, esc, non_empty_array, num, want_num, JVal};
 
 /// Schema tag of the durable-store benchmark document.
-pub const STORE_SCHEMA: &str = "vadalink-bench-store/1";
+pub const STORE_SCHEMA: &str = "vadalink-bench-store/2";
 
 /// Workload knobs.
 #[derive(Debug, Clone)]
 pub struct StoreBenchConfig {
-    /// Person nodes in the scaling/recovery graphs (companies = half).
+    /// Person nodes in the recovery graphs (companies = half).
     pub persons: usize,
     /// Generator seed.
     pub seed: u64,
-    /// Engine worker threads for the sharded evaluations.
+    /// Engine worker threads for the register-scale fixpoint.
     pub threads: usize,
-    /// Timing repeats per shard count; the minimum is reported.
-    pub repeats: usize,
     /// Committed update batches in the recovery sweep.
     pub updates: usize,
-    /// Shard counts to sweep (the first is the speedup baseline).
-    pub shard_counts: Vec<usize>,
     /// `snapshot_every` settings to sweep (0 = WAL-only recovery).
     pub cadences: Vec<u64>,
     /// Person nodes of the register-scale probe.
     pub register_persons: usize,
-}
-
-/// One shard-scaling row.
-#[derive(Debug, Clone)]
-pub struct ShardRow {
-    pub shards: usize,
-    /// Best-of-`repeats` fixpoint wall time through the sharded path.
-    pub eval_secs: f64,
-    /// Single-shard row time over this row's time.
-    pub speedup: f64,
-    /// Largest shard's facts over the mean shard size (1.0 = perfectly even).
-    pub skew: f64,
-    /// Byte-identity against the plain single-shard engine.
-    pub outputs_match: bool,
 }
 
 /// One recovery-cadence row.
@@ -101,7 +76,7 @@ pub struct RegisterRow {
     pub total_facts: usize,
     /// Generate + load wall time.
     pub load_secs: f64,
-    /// Sharded fixpoint wall time.
+    /// Fixpoint wall time.
     pub eval_secs: f64,
     /// Snapshot write + reopen + session rebuild wall time.
     pub recover_secs: f64,
@@ -112,7 +87,6 @@ pub struct RegisterRow {
 /// Everything `repro --exp store` reports.
 #[derive(Debug, Clone)]
 pub struct StoreBenchReport {
-    pub shard_rows: Vec<ShardRow>,
     pub recovery_rows: Vec<RecoveryRow>,
     pub register: RegisterRow,
 }
@@ -130,20 +104,6 @@ fn register_db(persons: usize, seed: u64) -> Database {
     db
 }
 
-/// Byte image: every relation's rows in insertion order (provenance off
-/// throughout this bench, so rows are the whole state).
-fn image(db: &Database) -> Vec<String> {
-    let mut out = Vec::new();
-    for p in 0..db.pred_count() as u32 {
-        let pred = db.pred_name(p).to_owned();
-        let rel = db.relation(&pred).unwrap();
-        for tuple in rel.rows() {
-            out.push(format!("{pred}{tuple:?}"));
-        }
-    }
-    out
-}
-
 /// Canonical (set-identity) image, the incremental layer's own lens.
 fn canon(db: &Database) -> Vec<String> {
     let mut out = Vec::new();
@@ -154,61 +114,6 @@ fn canon(db: &Database) -> Vec<String> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Shard scaling
-// ---------------------------------------------------------------------------
-
-fn run_shard_scaling(cfg: &StoreBenchConfig, program: &Program) -> Vec<ShardRow> {
-    let base = register_db(cfg.persons, cfg.seed);
-
-    // Identity reference: the plain engine, single shard, one thread.
-    let reference = {
-        let options = EngineOptions {
-            threads: 1,
-            ..EngineOptions::default()
-        };
-        let engine = Engine::with(program, FunctionRegistry::default(), options)
-            .expect("bundled program compiles");
-        let mut db = base.clone();
-        engine.run(&mut db).expect("fixpoint");
-        image(&db)
-    };
-
-    let mut rows = Vec::new();
-    let mut baseline_secs = None;
-    for &shards in &cfg.shard_counts {
-        let sharded = ShardedDatabase::partition(&base, shards);
-        let facts = sharded.shard_facts();
-        let mean = facts.iter().sum::<usize>() as f64 / facts.len().max(1) as f64;
-        let skew = facts.iter().copied().max().unwrap_or(0) as f64 / mean.max(1.0);
-
-        // One worker per shard — the scaling story sharding exists for.
-        // Byte-identity across shard × thread counts is pinned by the
-        // shard differential suite; the bench asserts it per row too.
-        let options = EngineOptions {
-            threads: shards.max(cfg.threads),
-            ..EngineOptions::default()
-        };
-        let mut eval_secs = f64::INFINITY;
-        let mut outputs_match = true;
-        for _ in 0..cfg.repeats.max(1) {
-            let start = Instant::now();
-            let (db, _) = sharded.eval(program, options.clone()).expect("fixpoint");
-            eval_secs = eval_secs.min(start.elapsed().as_secs_f64());
-            outputs_match = image(&db) == reference;
-        }
-        let baseline = *baseline_secs.get_or_insert(eval_secs);
-        rows.push(ShardRow {
-            shards,
-            eval_secs,
-            speedup: baseline / eval_secs.max(1e-12),
-            skew,
-            outputs_match,
-        });
-    }
-    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -311,20 +216,21 @@ fn run_recovery_sweep(cfg: &StoreBenchConfig, program: &Program) -> Vec<Recovery
 
 fn run_register_probe(cfg: &StoreBenchConfig, program: &Program) -> RegisterRow {
     let derived: std::collections::HashSet<String> = ["control".to_owned()].into_iter().collect();
-    let shards = cfg.shard_counts.iter().copied().max().unwrap_or(1);
 
     let start = Instant::now();
     let base = register_db(cfg.register_persons, cfg.seed ^ 0x5CA1E);
     let load_secs = start.elapsed().as_secs_f64();
     let total_facts = base.total_facts();
 
-    let sharded = ShardedDatabase::partition(&base, shards);
     let options = EngineOptions {
-        threads: shards.max(cfg.threads),
+        threads: cfg.threads,
         ..EngineOptions::default()
     };
+    let engine = Engine::with(program, FunctionRegistry::default(), options)
+        .expect("bundled program compiles");
+    let mut evaled = base.clone();
     let start = Instant::now();
-    let (evaled, _) = sharded.eval(program, options).expect("fixpoint");
+    engine.run(&mut evaled).expect("fixpoint");
     let eval_secs = start.elapsed().as_secs_f64();
     let heap_bytes = evaled.approx_heap_bytes();
 
@@ -361,11 +267,10 @@ fn run_register_probe(cfg: &StoreBenchConfig, program: &Program) -> RegisterRow 
     }
 }
 
-/// Runs all three sweeps.
+/// Runs the recovery sweep and the register probe.
 pub fn run_store_bench(cfg: &StoreBenchConfig) -> StoreBenchReport {
     let program = Program::parse(CONTROL_PROGRAM).expect("bundled program parses");
     StoreBenchReport {
-        shard_rows: run_shard_scaling(cfg, &program),
         recovery_rows: run_recovery_sweep(cfg, &program),
         register: run_register_probe(cfg, &program),
     }
@@ -383,23 +288,7 @@ pub fn render_store_json(cfg: &StoreBenchConfig, report: &StoreBenchReport) -> S
     s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
     s.push_str(&format!("  \"updates\": {},\n", cfg.updates));
-    s.push_str("  \"shard_scaling\": [\n");
-    for (i, r) in report.shard_rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"shards\": {},\n", r.shards));
-        s.push_str(&format!("      \"eval_secs\": {},\n", num(r.eval_secs)));
-        s.push_str(&format!("      \"speedup\": {},\n", num(r.speedup)));
-        s.push_str(&format!("      \"skew\": {},\n", num(r.skew)));
-        s.push_str(&format!("      \"outputs_match\": {}\n", r.outputs_match));
-        s.push_str(if i + 1 == report.shard_rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"recovery\": [\n");
     for (i, r) in report.recovery_rows.iter().enumerate() {
         s.push_str("    {\n");
@@ -460,9 +349,7 @@ fn want_pos(v: &JVal, field: &str) -> Result<(), String> {
 fn want_match(v: &JVal) -> Result<(), String> {
     match v.get("outputs_match") {
         Some(JVal::Bool(true)) => Ok(()),
-        Some(JVal::Bool(false)) => {
-            Err("outputs_match is false — sharded/recovered state diverged".into())
-        }
+        Some(JVal::Bool(false)) => Err("outputs_match is false — recovered state diverged".into()),
         _ => Err("missing boolean field 'outputs_match'".into()),
     }
 }
@@ -473,21 +360,8 @@ pub fn validate_store_json(text: &str) -> Result<(), String> {
     let doc = check_doc_header(
         text,
         STORE_SCHEMA,
-        &["persons", "seed", "threads", "repeats", "updates"],
+        &["persons", "seed", "threads", "updates"],
     )?;
-
-    let shard_rows = non_empty_array(&doc, "shard_scaling")?;
-    for (i, r) in shard_rows.iter().enumerate() {
-        let ctx = |msg: String| format!("shard_scaling[{i}]: {msg}");
-        want_count(r, "shards", 1.0).map_err(&ctx)?;
-        want_pos(r, "eval_secs").map_err(&ctx)?;
-        want_pos(r, "speedup").map_err(&ctx)?;
-        let skew = want_num(r, "skew").map_err(&ctx)?;
-        if !(1.0..=1e6).contains(&skew) {
-            return Err(ctx("field 'skew' must be >= 1".into()));
-        }
-        want_match(r).map_err(&ctx)?;
-    }
 
     let recovery = non_empty_array(&doc, "recovery")?;
     for (i, r) in recovery.iter().enumerate() {
@@ -526,9 +400,7 @@ mod tests {
             persons: 100,
             seed: 1,
             threads: 1,
-            repeats: 1,
             updates: 4,
-            shard_counts: vec![1, 2],
             cadences: vec![0, 2],
             register_persons: 100,
         }
@@ -536,13 +408,6 @@ mod tests {
 
     fn sample_report() -> StoreBenchReport {
         StoreBenchReport {
-            shard_rows: vec![ShardRow {
-                shards: 2,
-                eval_secs: 0.01,
-                speedup: 1.5,
-                skew: 1.2,
-                outputs_match: true,
-            }],
             recovery_rows: vec![RecoveryRow {
                 cadence: 2,
                 commits: 4,
@@ -573,14 +438,14 @@ mod tests {
         let good = render_store_json(&sample_cfg(), &sample_report());
         assert!(validate_store_json("not json").is_err());
         assert!(validate_store_json(&good.replace(STORE_SCHEMA, "other/9")).is_err());
-        assert!(validate_store_json(&good.replace("\"skew\"", "\"lean\"")).is_err());
+        assert!(validate_store_json(&good.replace("\"cadence\"", "\"period\"")).is_err());
         assert!(validate_store_json(
             &good.replace("\"outputs_match\": true", "\"outputs_match\": false")
         )
         .is_err());
         assert!(validate_store_json(&good.replace("\"register\"", "\"registry\"")).is_err());
         let empty = StoreBenchReport {
-            shard_rows: vec![],
+            recovery_rows: vec![],
             ..sample_report()
         };
         assert!(validate_store_json(&render_store_json(&sample_cfg(), &empty)).is_err());
@@ -592,23 +457,12 @@ mod tests {
             persons: 200,
             seed: 0xEDB7,
             threads: 1,
-            repeats: 1,
             updates: 6,
-            shard_counts: vec![1, 2],
             cadences: vec![0, 2],
             register_persons: 200,
         };
         let report = run_store_bench(&cfg);
-        assert_eq!(report.shard_rows.len(), 2);
         assert_eq!(report.recovery_rows.len(), 2);
-        for r in &report.shard_rows {
-            assert!(
-                r.outputs_match,
-                "shards {}: sharded eval diverged",
-                r.shards
-            );
-            assert!(r.skew >= 1.0);
-        }
         for r in &report.recovery_rows {
             assert!(r.outputs_match, "cadence {}: recovery diverged", r.cadence);
             assert!(r.snapshots_written >= 1);

@@ -284,8 +284,7 @@ impl Relation {
 
     /// Rough heap footprint in bytes: tuple storage, the dedup map, hash
     /// indexes and any frozen columnar image. A capacity-planning
-    /// estimate (shard skew, memory budgets), not an allocator
-    /// measurement.
+    /// estimate, not an allocator measurement.
     pub fn approx_heap_bytes(&self) -> usize {
         const CONST_BYTES: usize = std::mem::size_of::<Const>();
         let arity = self.tuples.first().map_or(0, |t| t.len());
@@ -620,19 +619,10 @@ impl Database {
         Ok(id)
     }
 
-    /// Freezes every relation to the columnar layout (strips only, no
-    /// CSR adjacency). Sharded EDB storage parks cold shards in this
-    /// form; any later mutation of a relation drops its image.
-    pub fn freeze_all_columnar(&mut self) {
-        for rel in &mut self.relations {
-            rel.freeze_columnar(&[]);
-        }
-    }
-
     /// Rough heap footprint of the whole store in bytes: interned
     /// symbols, predicate tables and every relation's
     /// [`Relation::approx_heap_bytes`]. The capacity-planning lens for
-    /// the 1M-register memory-budget target and per-shard skew stats.
+    /// the 1M-register memory-budget target.
     pub fn approx_heap_bytes(&self) -> usize {
         let mut total = 0usize;
         for name in self.symbols.iter() {

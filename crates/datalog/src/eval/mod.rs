@@ -38,7 +38,6 @@ pub(crate) mod kernels;
 pub(crate) mod plan;
 pub(crate) mod resolve;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::analysis::{adorn, analyze_with, AnalysisConfig};
@@ -54,42 +53,6 @@ use compile::{compile_stratum, eval_compiled_chunk, CompiledRule, CompiledRulePl
 use exec::{driver_rows, eval_rule_chunk, Derived, RunCtx, Workspace};
 use plan::{plan_stratum, RulePlan, RulePlans, Step, StratumStats};
 use resolve::{resolve_rules, CompiledProgram, RLiteral, RRule};
-
-/// Process-wide default for [`EngineOptions::compile`]. Engines are
-/// constructed deep inside the core/serve layers, so the CLI escape hatch
-/// (`--no-compile`) flips this global instead of threading a flag through
-/// every constructor — the same idiom as [`par::set_threads`].
-static COMPILE_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for compiled plan execution. Engines
-/// built afterwards (via [`EngineOptions::default`]) inherit the value;
-/// explicit `options.compile` assignments still win.
-pub fn set_compile_default(on: bool) {
-    COMPILE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide compiled-execution default.
-pub fn compile_default() -> bool {
-    COMPILE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for [`EngineOptions::shards`], the same idiom as
-/// [`set_compile_default`]: the CLI's `--shards` flag flips this global so
-/// every engine constructed deep inside the core/serve layers inherits the
-/// shard count without threading a parameter through each constructor.
-static SHARDS_DEFAULT: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default shard count (0 and 1 both mean
-/// unsharded). Engines built afterwards via [`EngineOptions::default`]
-/// inherit it; explicit `options.shards` assignments still win.
-pub fn set_shards_default(n: usize) {
-    SHARDS_DEFAULT.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide shard-count default.
-pub fn shards_default() -> usize {
-    SHARDS_DEFAULT.load(Ordering::Relaxed).max(1)
-}
 
 /// Tunable evaluation options.
 #[derive(Debug, Clone)]
@@ -129,9 +92,9 @@ pub struct EngineOptions {
     /// specialized closures per stratum ([`compile`]) and freeze stable
     /// relations to the columnar/CSR layout, so the fixpoint inner loop
     /// skips per-tuple step interpretation. Byte-identical to interpreted
-    /// execution — the switch exists for benchmarking, differential
-    /// testing and debugging (`--no-compile`). Defaults to the
-    /// process-wide value set by [`set_compile_default`] (true).
+    /// execution; turning it off selects the interpreted executor, the
+    /// reference oracle for benchmarking and differential testing.
+    /// Defaults to true.
     pub compile: bool,
     /// Batch-at-a-time execution tier on top of compiled plans: naive
     /// plans whose inputs are all frozen [`Columnar`](crate::db) images
@@ -149,16 +112,6 @@ pub struct EngineOptions {
     /// bindings rather than the database. Set by [`Engine::query`];
     /// harmless (and useless) for ordinary programs.
     pub demand_hints: Vec<String>,
-    /// Logical EDB shards for round partitioning. With `shards > 1`, a
-    /// chunkable rule's candidate rows are bucketed by hash of the driving
-    /// row's first column (its node) instead of split contiguously, so
-    /// each shard's fixpoint work touches only its own partition of
-    /// `own`/`person`/`company`. Every shard's derivations are merged back
-    /// through the canonical per-round collapse and sort — the delta
-    /// exchange at round boundaries — which makes the result byte-identical
-    /// to `shards = 1` for every shard count (and every thread count).
-    /// Defaults to the process-wide value set by [`set_shards_default`] (1).
-    pub shards: usize,
 }
 
 impl Default for EngineOptions {
@@ -172,10 +125,9 @@ impl Default for EngineOptions {
             analysis: AnalysisConfig::default(),
             threads: 0,
             plan: true,
-            compile: compile_default(),
+            compile: true,
             batch: true,
             demand_hints: Vec::new(),
-            shards: shards_default(),
         }
     }
 }
@@ -766,7 +718,6 @@ pub(crate) fn run_stratum(
                     relations,
                     &items,
                     threads,
-                    options.shards.max(1),
                     options.batch,
                     &mut ctx,
                 )?;
@@ -857,20 +808,6 @@ pub(crate) fn run_stratum(
 /// way.
 const PAR_MIN_DRIVER_ROWS: usize = 512;
 
-/// Shard of a constant: its [`FxHasher`](crate::fx::FxHasher) hash reduced
-/// modulo the shard count. Workers cannot resolve symbols mid-round (the
-/// symbol table is mutably borrowed by the run context), so eval-side
-/// bucketing hashes the interned [`Const`] — a different hash domain from
-/// the string-keyed partitioning of `store::ShardedDatabase`, which is
-/// fine: byte-identity never depends on *which* shard a row lands in, only
-/// on the canonical merge.
-pub fn shard_of_const(c: &Const, shards: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = crate::fx::FxHasher::default();
-    c.hash(&mut h);
-    (h.finish() as usize) % shards.max(1)
-}
-
 /// Evaluates one round's work items, parallelizing the chunkable ones.
 ///
 /// An item is chunkable when its rule is `par_full` — the body touches no
@@ -887,15 +824,6 @@ pub fn shard_of_const(c: &Const, shards: usize) -> usize {
 /// Returns `true` when the whole round ran sequentially against the real
 /// context — the caller can then skip its duplicate-collapse pass for
 /// provenance-free runs, since sequential emission already dedups.
-///
-/// With `shards > 1` the round runs in *shard mode*: a chunkable item's
-/// driver rows are bucketed by [`shard_of_const`] of the driving row's
-/// first column instead of split contiguously, one subtask per non-empty
-/// (item, shard) bucket. Shard mode always takes the parallel path — even
-/// below [`PAR_MIN_DRIVER_ROWS`] or at one thread — so the partitioned
-/// execution is actually exercised, and always reports `false` so the
-/// caller's collapse + canonical sort merges the shard outputs back into
-/// the byte-identical single-shard order.
 #[allow(clippy::too_many_arguments)]
 fn eval_round(
     rules: &[RRule],
@@ -904,7 +832,6 @@ fn eval_round(
     relations: &[Relation],
     items: &[(usize, Option<(usize, u32)>)],
     threads: usize,
-    shards: usize,
     batch: bool,
     ctx: &mut RunCtx<'_>,
 ) -> Result<bool> {
@@ -971,8 +898,7 @@ fn eval_round(
         }
         Ok(())
     };
-    let shard_mode = shards > 1;
-    if threads <= 1 && !shard_mode {
+    if threads <= 1 {
         run_seq(ctx)?;
         return Ok(true);
     }
@@ -991,58 +917,21 @@ fn eval_round(
         }
         drivers.push(rows);
     }
-    if total < PAR_MIN_DRIVER_ROWS && !shard_mode {
+    if total < PAR_MIN_DRIVER_ROWS {
         run_seq(ctx)?;
         return Ok(true);
     }
-    // In shard mode each chunkable item's rows are re-bucketed by the
-    // shard of the driving row's first column, so a subtask is exactly one
-    // shard's partition of one item's work. The buckets own their row
-    // lists; `drivers` keeps marking which items are chunkable.
-    let sharded: Vec<(usize, Vec<u32>)> = if shard_mode {
-        let mut buckets: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (idx, rows) in drivers.iter().enumerate() {
-            let Some(rows) = rows else { continue };
-            // The driving relation is the plan's leading atom — the same
-            // one `driver_rows` enumerated.
-            let Some(Step::Atom(a)) = plan_for(items[idx].0, items[idx].1).steps.first() else {
-                unreachable!("chunkable items drive from a leading atom");
-            };
-            let rel = &relations[a.pred as usize];
-            let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-            for &r in rows {
-                let row = rel.row(r);
-                let s = row.first().map_or(0, |c| shard_of_const(c, shards));
-                by_shard[s].push(r);
-            }
-            for b in by_shard {
-                if !b.is_empty() {
-                    buckets.push((idx, b));
-                }
-            }
-        }
-        buckets
-    } else {
-        Vec::new()
-    };
     // Subtasks in (item, chunk) order; a few chunks per worker so a skewed
-    // chunk cannot serialize the round. Shard mode instead emits one
-    // subtask per non-empty (item, shard) bucket.
-    let chunk = (total / (threads.max(1) * 4)).max(PAR_MIN_DRIVER_ROWS / 4);
+    // chunk cannot serialize the round.
+    let chunk = (total / (threads * 4)).max(PAR_MIN_DRIVER_ROWS / 4);
     let mut subtasks: Vec<(usize, &[u32])> = Vec::new();
-    if shard_mode {
-        for (idx, rows) in &sharded {
-            subtasks.push((*idx, &rows[..]));
-        }
-    } else {
-        for (idx, rows) in drivers.iter().enumerate() {
-            if let Some(rows) = rows {
-                let mut s = 0;
-                while s < rows.len() {
-                    let e = (s + chunk).min(rows.len());
-                    subtasks.push((idx, &rows[s..e]));
-                    s = e;
-                }
+    for (idx, rows) in drivers.iter().enumerate() {
+        if let Some(rows) = rows {
+            let mut s = 0;
+            while s < rows.len() {
+                let e = (s + chunk).min(rows.len());
+                subtasks.push((idx, &rows[s..e]));
+                s = e;
             }
         }
     }

@@ -70,10 +70,7 @@ pub use ast::{Program, Query, Rule};
 pub use builtins::FunctionRegistry;
 pub use db::{Database, FactBuilder};
 pub use error::DatalogError;
-pub use eval::{
-    compile_default, goal_matches, set_compile_default, set_shards_default, shard_of_const,
-    shards_default, Engine, EngineOptions, QueryAnswer, RunStats,
-};
+pub use eval::{goal_matches, Engine, EngineOptions, QueryAnswer, RunStats};
 pub use explain::Derivation;
 pub use incr::{ChangeSet, IncrementalEngine, SessionInfo, Update, UpdateStats};
 pub use value::Const;

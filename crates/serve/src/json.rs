@@ -126,6 +126,7 @@ pub fn num(v: f64) -> String {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -138,6 +139,7 @@ const MAX_DEPTH: usize = 64;
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
@@ -223,48 +225,78 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of unescaped bytes up to the next delimiter as
+            // one slice. Both delimiters are ASCII, so the cut always falls
+            // on a char boundary of the (already valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    self.pos += 1;
+                    out.push(self.parse_unicode_escape()?);
+                    continue;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// Decodes a `\u` escape whose `\u` was just consumed. A UTF-16
+    /// surrogate pair (the form encoders such as Python's `json.dumps`
+    /// emit for non-BMP characters) combines into one character; a lone
+    /// surrogate is an error.
+    fn parse_unicode_escape(&mut self) -> Result<char, String> {
+        let code = match self.parse_hex4()? {
+            hi @ 0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                let lo = self.parse_hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("lone surrogate in \\u escape")),
+            c => c,
+        };
+        Ok(char::from_u32(code).expect("non-surrogate code point below U+110000"))
+    }
+
+    /// Reads the four hex digits of a `\u` escape: exactly four of
+    /// `[0-9a-fA-F]`, no sign.
+    fn parse_hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code << 4 | d;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn parse_object(&mut self) -> Result<Json, String> {
@@ -364,6 +396,74 @@ mod tests {
         assert_eq!(parse_json(&text).unwrap(), v);
         // Integral numbers stay integral on the wire.
         assert!(text.contains("\"id\":7,"), "{text}");
+    }
+
+    #[test]
+    fn unicode_escapes_decode_strictly() {
+        let str_of = |text: &str| match parse_json(text) {
+            Ok(Json::Str(s)) => Ok(s),
+            other => Err(format!("{other:?}")),
+        };
+        assert_eq!(
+            str_of(r#""\u0041\u00e9\u20AC""#),
+            Ok("A\u{e9}\u{20ac}".into())
+        );
+        assert_eq!(str_of(r#""\b\f\/""#), Ok("\u{8}\u{c}/".into()));
+        // A surrogate pair is one non-BMP character, in either hex case.
+        assert_eq!(str_of(r#""n\ud83d\ude00""#), Ok("n\u{1f600}".into()));
+        assert_eq!(str_of(r#""\uD83D\uDE00!""#), Ok("\u{1f600}!".into()));
+        for bad in [
+            // Lone surrogates: a high one at the end, before plain text,
+            // before another high one, and a bare low one.
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\n""#,
+            r#""\ude00""#,
+            // Non-hex digits, including the sign `from_str_radix` takes.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g1""#,
+            r#""\u 041""#,
+            r#""\u12""#,
+            // Unknown escapes and an unterminated string.
+            r#""\x""#,
+            r#""abc"#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn long_mixed_strings_round_trip() {
+        // Several hundred KB mixing ASCII, multi-byte characters and
+        // escapes: one `update` line near the frame limit.
+        let mut text = String::new();
+        let mut i = 0;
+        while text.len() < 400_000 {
+            text.push_str(&format!(
+                "+own(n{i}, soci\u{e9}t\u{e9}_{i}, 0.3) \"\u{fc}\"\t\u{20ac}\u{1f600}\\\n"
+            ));
+            i += 1;
+        }
+        let line = Json::Str(text.clone()).render();
+        assert!(line.len() > 400_000);
+        assert_eq!(parse_json(&line), Ok(Json::Str(text.clone())));
+        // The same text with every non-ASCII character spelled as a `\u`
+        // escape (surrogate pairs above the BMP), as `json.dumps` does.
+        let mut ascii = String::from("\"");
+        for c in esc(&text).chars() {
+            let mut units = [0u16; 2];
+            if c.is_ascii() {
+                ascii.push(c);
+            } else {
+                for u in c.encode_utf16(&mut units) {
+                    ascii.push_str(&format!("\\u{u:04x}"));
+                }
+            }
+        }
+        ascii.push('"');
+        assert_eq!(parse_json(&ascii), Ok(Json::Str(text)));
     }
 
     #[test]

@@ -533,10 +533,29 @@ mod tests {
                 "{\"op\": \"query\", \"goal\": \"g?\", \"id\": 1.5}",
                 ErrorCode::BadRequest,
             ),
+            (
+                r#"{"op": "update", "delta": "+company(n\ud83d)"}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"op": "query", "goal": "\u+041?"}"#,
+                ErrorCode::BadRequest,
+            ),
         ] {
             let (code, _) = Request::decode(line).expect_err(line);
             assert_eq!(code, want, "{line}");
         }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        let r = Request::decode(r#"{"op": "update", "delta": "+company(n\ud83d\ude00)"}"#).unwrap();
+        assert_eq!(
+            r.op,
+            Op::Update {
+                delta: "+company(n\u{1f600})".into()
+            }
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! # store — durable sharded storage for the ownership register
+//! # store — durable storage for the ownership register
 //!
 //! The paper's enterprise knowledge graph is a long-lived national asset:
 //! the ownership register is loaded once, then maintained by a stream of
-//! update batches for years. This crate gives the reproduction the two
-//! properties that workload needs beyond a volatile heap:
+//! update batches for years. This crate gives the reproduction what that
+//! workload needs beyond a volatile heap:
 //!
 //! * **Durability** ([`DurableStore`]): every applied [`datalog::Update`]
 //!   is appended to a write-ahead log of length-prefixed, CRC32-checksummed
@@ -15,23 +15,14 @@
 //!   WAL tail ([`replay_tail`]), rebuilding a session *byte-identical* to
 //!   the pre-crash maintained database. Torn or corrupt WAL tails are
 //!   truncated to the last valid prefix with a warning.
-//!
-//! * **Sharding** ([`ShardedDatabase`]): the extensional store is
-//!   hash-partitioned by node across N shards with per-shard columnar
-//!   freezing, and the fixpoint runs with [`datalog::EngineOptions::shards`]
-//!   set so each round's work is bucketed per shard and merged — the delta
-//!   exchange — at the round boundary, byte-identical to single-shard
-//!   evaluation for every shard and thread count.
 
 pub mod frame;
-pub mod shard;
 pub mod snapshot;
 #[allow(clippy::module_inception)]
 pub mod store;
 pub mod wal;
 
 pub use frame::{FrameError, WireFact, WireUpdate, WireVal};
-pub use shard::{shard_of_node, ShardedDatabase};
 pub use snapshot::{read_snapshot, write_snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use store::{DurableStore, Recovery, StoreConfig, StoreError};
 pub use wal::{FsyncPolicy, Wal, WalOpenError, MAX_FRAME, WAL_MAGIC};
