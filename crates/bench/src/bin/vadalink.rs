@@ -508,11 +508,10 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
     let s = &cs.stats;
     eprintln!(
         "vadalink: {} inserted, {} deleted in {:.3?} \
-         ({} counting, {} DRed, {} replayed, {} skipped unit(s){})",
+         ({} DRed, {} replayed, {} skipped unit(s){})",
         cs.inserted.len(),
         cs.deleted.len(),
         s.duration,
-        s.counting_units,
         s.dred_units,
         s.replayed_units,
         s.skipped_units,

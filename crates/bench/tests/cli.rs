@@ -137,6 +137,12 @@ fn update_applies_an_incremental_diff_to_the_demo_graph() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("-acc_own(n0,n2,0.8)"), "stdout: {stdout}");
+    // acc_own is replayed; close_link, pure and recursive, takes DRed.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("(1 DRed, 1 replayed, 0 skipped unit(s))"),
+        "stderr: {stderr}"
+    );
 
     // Missing update file and malformed update lines are usage errors.
     let out = vadalink(&[

@@ -1,23 +1,19 @@
 //! Delta enumeration for maintained units.
 //!
-//! The engine's executor evaluates rules against frozen relation snapshots
-//! and deduplicates at emit time — exactly what derivation *counting* must
-//! not do. This module provides a small interpretive enumerator that walks
-//! a rule body in textual order against explicit per-atom [`RowsView`]s
-//! (old state, new state, or a delta list), yielding every distinct
-//! binding once. Counting maintenance and delete-and-rederive are built on
-//! top of it.
+//! This module provides a small interpretive enumerator that walks a rule
+//! body in textual order against explicit per-atom [`RowsView`]s (old
+//! state, new state, or a delta list), yielding every distinct binding
+//! once. Delete-and-rederive is built on top of it.
 //!
-//! Views express the four states incremental maintenance needs without
-//! materialising them. Physical deltas are applied to relations before the
-//! maintained units that read them run, so for an input predicate with
-//! delta `(ins, del)` the relation holds the NEW state and:
+//! Views express the states DRed needs without materialising them.
+//! Physical deltas are applied to relations before the maintained units
+//! that read them run, so for an input predicate with delta `(ins, del)`
+//! the relation holds the NEW state and:
 //!
-//! * old state     = `AllMinusPlus(ins_set, del)`
-//! * old ∖ del     = `AllMinus(ins_set)`
-//! * new state     = `All`
-//! * new ∖ ins     = `AllMinus(ins_set)` (same rows, different reading)
-//! * the delta     = `List(del)` / `List(ins)`
+//! * old state          = `AllMinusPlus(ins_set, del)`
+//! * new state          = `All`
+//! * surviving facts    = `AllMinus(dead)` (rederivation)
+//! * the delta          = `List(del)` / `List(ins)`
 //!
 //! A maintained unit's *own* relations are only touched after its phases
 //! complete, so inside DRed the unit predicates read as `All` (old) until

@@ -10,15 +10,17 @@
 //! compare against exactly that, via [`Database::dump_canonical`] so
 //! labelled nulls are compared structurally).
 //!
-//! Strategy selection is per dependency unit (see [`units`]):
-//! non-recursive pure units are maintained by derivation counting,
-//! recursive pure units by delete-and-rederive (DRed), and
-//! order-sensitive units (aggregates, Skolem invention, external calls,
-//! `@post`) by scoped replay through the engine's own stratum evaluator —
-//! which is byte-faithful because the session keeps symbol interning,
-//! seed rows, and input row order identical to the baseline. Programs
-//! whose readers of compacted aggregate predicates fail the subsumption
-//! check fall back to full recomputation per update: slower, never wrong.
+//! Strategy selection is per dependency unit (see [`units`]), and there
+//! are two strategies. Pure units, recursive or not, are maintained by
+//! delete-and-rederive (DRed); a pure unit whose *negated* input changed
+//! is replayed instead, since propagation through negation flips signs.
+//! Order-sensitive units (aggregates, Skolem invention, external calls,
+//! `@post`) are replayed: cleared and re-run through the engine's own
+//! stratum evaluator, which is byte-faithful because the session keeps
+//! symbol interning, seed rows, and input row order identical to the
+//! baseline. Programs whose readers of compacted aggregate predicates
+//! fail the subsumption check fall back to full recomputation per
+//! update: slower, never wrong.
 //!
 //! Sessions do not support provenance tracking (`EngineOptions::provenance`
 //! is rejected at construction): replayed relations would lose the row
@@ -64,11 +66,9 @@ impl Update {
 /// How an update was propagated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateStats {
-    /// Units maintained by derivation counting.
-    pub counting_units: usize,
     /// Units maintained by delete-and-rederive.
     pub dred_units: usize,
-    /// Units (or whole strata) re-run through the engine.
+    /// Units re-run through the engine.
     pub replayed_units: usize,
     /// Units skipped because no input of theirs changed.
     pub skipped_units: usize,
@@ -102,14 +102,10 @@ impl ChangeSet {
 /// Which maintenance strategies a session selected (diagnostics).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionInfo {
-    /// Units maintained by derivation counting.
-    pub counting_units: usize,
     /// Units maintained by delete-and-rederive.
     pub dred_units: usize,
-    /// Units replayed standalone.
+    /// Units replayed through the engine.
     pub replay_units: usize,
-    /// Units replayed jointly with their stratum.
-    pub stratum_replay_units: usize,
     /// True when every update recomputes from scratch (subsumption
     /// fallback).
     pub full_fallback: bool,
@@ -126,8 +122,6 @@ pub struct IncrementalEngine {
     plans: FxHashMap<usize, RulePlan>,
     /// Rederivation plans for DRed units, keyed by (rule, head index).
     rederive_plans: FxHashMap<(usize, usize), RulePlan>,
-    /// Derivation counts of counting-unit facts.
-    counts: FxHashMap<(u32, Tuple), u64>,
     /// Derived-predicate facts asserted before the initial run: they are
     /// axioms, never deleted by maintenance, and restored on replay.
     seeds: FxHashSet<(u32, Tuple)>,
@@ -183,13 +177,11 @@ impl IncrementalEngine {
             graph,
             plans: FxHashMap::default(),
             rederive_plans: FxHashMap::default(),
-            counts: FxHashMap::default(),
             seeds,
             seed_rows,
             threads,
         };
         session.build_plans()?;
-        session.init_counts()?;
         Ok(session)
     }
 
@@ -211,10 +203,8 @@ impl IncrementalEngine {
         };
         for u in &self.graph.units {
             match u.mode {
-                Mode::Counting => info.counting_units += 1,
                 Mode::DRed => info.dred_units += 1,
                 Mode::Replay => info.replay_units += 1,
-                Mode::StratumReplay => info.stratum_replay_units += 1,
             }
         }
         info
@@ -289,20 +279,12 @@ impl IncrementalEngine {
 
     /// Applies a base-fact update and propagates it through the program.
     ///
-    /// On error the session state is unspecified; discard it.
+    /// A [`DatalogError::BadFact`] rejects the update before any state is
+    /// touched. On any other error the session state is unspecified;
+    /// discard it.
     pub fn apply_update(&mut self, update: &Update) -> Result<ChangeSet> {
         let start = Instant::now();
-        // Validate everything before touching state.
-        for (name, tuple) in update.delete.iter().chain(update.insert.iter()) {
-            if let Some(p) = self.db.find_pred(name) {
-                if self.graph.derived.contains(&p) {
-                    return Err(DatalogError::BadFact(format!(
-                        "cannot update derived predicate '{name}'"
-                    )));
-                }
-                self.db.check_arity(p, tuple.len())?;
-            }
-        }
+        self.validate(update)?;
         // Apply EDB deletions, then insertions; record raw per-pred deltas.
         let mut raw: FxHashMap<u32, PredDelta> = FxHashMap::default();
         for (name, tuple) in &update.delete {
@@ -319,12 +301,7 @@ impl IncrementalEngine {
         }
         for (name, tuple) in &update.insert {
             let p = self.db.pred_id(name);
-            self.db.check_arity(p, tuple.len())?;
-            if self.graph.derived.contains(&p) {
-                return Err(DatalogError::BadFact(format!(
-                    "cannot update derived predicate '{name}'"
-                )));
-            }
+            self.db.check_arity(p, tuple.len())?; // pins a new pred's arity
             let t: Tuple = tuple.clone().into();
             if self.db.relations[p as usize].find(&t).is_none() {
                 self.db.relation_mut(p).insert(t.clone(), None);
@@ -357,6 +334,36 @@ impl IncrementalEngine {
         Ok(self.changeset(changed, stats))
     }
 
+    /// Rejects an update that names a derived predicate or mixes
+    /// arities, without mutating anything: arities of predicates the
+    /// update would introduce are tracked locally, not interned.
+    fn validate(&self, update: &Update) -> Result<()> {
+        let mut introduced: FxHashMap<&str, usize> = FxHashMap::default();
+        let deletes = update.delete.iter().map(|op| (op, false));
+        let inserts = update.insert.iter().map(|op| (op, true));
+        for ((name, tuple), insert) in deletes.chain(inserts) {
+            let pred = self.db.find_pred(name);
+            if pred.is_some_and(|p| self.graph.derived.contains(&p)) {
+                return Err(DatalogError::BadFact(format!(
+                    "cannot update derived predicate '{name}'"
+                )));
+            }
+            let arity = match pred.and_then(|p| self.db.arity(p)) {
+                Some(a) => a,
+                None if insert => *introduced.entry(name).or_insert(tuple.len()),
+                // Deleting from a predicate without rows is a no-op.
+                None => continue,
+            };
+            if arity != tuple.len() {
+                return Err(DatalogError::BadFact(format!(
+                    "predicate {name} used with arity {}, previously {arity}",
+                    tuple.len()
+                )));
+            }
+        }
+        Ok(())
+    }
+
     // ---------------------------------------------------------------
     // session construction helpers
     // ---------------------------------------------------------------
@@ -364,7 +371,7 @@ impl IncrementalEngine {
     fn build_plans(&mut self) -> Result<()> {
         let empty = FxHashSet::default();
         for unit in &self.graph.units {
-            if !matches!(unit.mode, Mode::Counting | Mode::DRed) {
+            if unit.mode != Mode::DRed {
                 continue;
             }
             let pset: FxHashSet<u32> = unit.preds.iter().copied().collect();
@@ -373,53 +380,17 @@ impl IncrementalEngine {
                 let plan = RulePlan::build(rule, &empty)?;
                 plan.register_indexes(rule, &mut self.db);
                 self.plans.insert(ri, plan);
-                if unit.mode == Mode::DRed {
-                    for (hi, h) in rule.head.iter().enumerate() {
-                        if !pset.contains(&h.pred) {
-                            continue;
-                        }
-                        let mut head_vars = FxHashSet::default();
-                        for t in &h.terms {
-                            collect_rterm_vars(t, &mut head_vars);
-                        }
-                        let plan = RulePlan::build(rule, &head_vars)?;
-                        plan.register_indexes(rule, &mut self.db);
-                        self.rederive_plans.insert((ri, hi), plan);
+                for (hi, h) in rule.head.iter().enumerate() {
+                    if !pset.contains(&h.pred) {
+                        continue;
                     }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Initial derivation counts: enumerate every counting rule against
-    /// the post-run state. For non-recursive pure units this reproduces
-    /// exactly the engine's derivations.
-    fn init_counts(&mut self) -> Result<()> {
-        for unit in &self.graph.units {
-            if unit.mode != Mode::Counting {
-                continue;
-            }
-            for &ri in &unit.rules {
-                let rule = &self.rules[ri];
-                let plan = &self.plans[&ri];
-                let views = vec![RowsView::All; plan.atoms.len()];
-                let mut binding = vec![None; rule.nvars];
-                let mut err = None;
-                enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                    for h in &rule.head {
-                        match head_tuple(h, b) {
-                            Ok(t) => *self.counts.entry((h.pred, t)).or_insert(0) += 1,
-                            Err(e) => {
-                                err = Some(e);
-                                return false;
-                            }
-                        }
+                    let mut head_vars = FxHashSet::default();
+                    for t in &h.terms {
+                        collect_rterm_vars(t, &mut head_vars);
                     }
-                    true
-                })?;
-                if let Some(e) = err {
-                    return Err(e);
+                    let plan = RulePlan::build(rule, &head_vars)?;
+                    plan.register_indexes(rule, &mut self.db);
+                    self.rederive_plans.insert((ri, hi), plan);
                 }
             }
         }
@@ -435,103 +406,29 @@ impl IncrementalEngine {
         changed: &mut FxHashMap<u32, PredDelta>,
         stats: &mut UpdateStats,
     ) -> Result<()> {
-        let mut done = vec![false; self.graph.units.len()];
         for i in 0..self.graph.units.len() {
-            if done[i] {
+            let unit = &self.graph.units[i];
+            if !unit.reads_any(changed) {
+                stats.skipped_units += 1;
                 continue;
             }
-            done[i] = true;
-            match self.graph.units[i].mode {
-                Mode::StratumReplay => {
-                    let stratum = self.graph.units[i].stratum;
-                    let members: Vec<usize> = (0..self.graph.units.len())
-                        .filter(|&j| self.graph.units[j].stratum == stratum)
-                        .collect();
-                    for &m in &members {
-                        done[m] = true;
-                    }
-                    if !members
-                        .iter()
-                        .any(|&m| self.graph.units[m].reads_any(changed))
-                    {
-                        stats.skipped_units += members.len();
-                        continue;
-                    }
-                    let rules: Vec<usize> = {
-                        let mut rs: Vec<usize> = members
-                            .iter()
-                            .flat_map(|&m| self.graph.units[m].rules.iter().copied())
-                            .collect();
-                        rs.sort_unstable();
-                        rs
-                    };
-                    let preds: Vec<u32> = members
-                        .iter()
-                        .flat_map(|&m| self.graph.units[m].preds.iter().copied())
-                        .collect();
-                    let deltas = self.replay_scope(&rules, &preds, stratum)?;
-                    merge_deltas(changed, deltas);
-                    stats.replayed_units += members.len();
-                }
-                Mode::Replay => {
-                    if !self.graph.units[i].reads_any(changed) {
-                        stats.skipped_units += 1;
-                        continue;
-                    }
-                    let rules = self.graph.units[i].rules.clone();
-                    let preds = self.graph.units[i].preds.clone();
-                    let stratum = self.graph.units[i].stratum;
-                    let deltas = self.replay_scope(&rules, &preds, stratum)?;
-                    merge_deltas(changed, deltas);
-                    stats.replayed_units += 1;
-                }
-                Mode::Counting => {
-                    if !self.graph.units[i].reads_any(changed) {
-                        stats.skipped_units += 1;
-                        continue;
-                    }
-                    let deltas = if self.graph.units[i].negated_input_changed(changed) {
-                        // Propagation through negation flips signs; replay
-                        // the unit set-level and rebuild its counts.
-                        let d = self.replay_and_recount(i)?;
-                        stats.replayed_units += 1;
-                        d
-                    } else {
-                        stats.counting_units += 1;
-                        self.counting_maintain(i, changed)?
-                    };
-                    merge_deltas(changed, deltas);
-                }
-                Mode::DRed => {
-                    if !self.graph.units[i].reads_any(changed) {
-                        stats.skipped_units += 1;
-                        continue;
-                    }
-                    let deltas = if self.graph.units[i].negated_input_changed(changed) {
-                        let rules = self.graph.units[i].rules.clone();
-                        let preds = self.graph.units[i].preds.clone();
-                        let stratum = self.graph.units[i].stratum;
-                        stats.replayed_units += 1;
-                        self.replay_scope(&rules, &preds, stratum)?
-                    } else {
-                        stats.dred_units += 1;
-                        self.dred_maintain(i, changed, stats)?
-                    };
-                    merge_deltas(changed, deltas);
-                }
-            }
+            let deltas = if unit.mode == Mode::DRed && !unit.negated_input_changed(changed) {
+                stats.dred_units += 1;
+                self.dred_maintain(i, changed, stats)?
+            } else {
+                stats.replayed_units += 1;
+                self.replay_unit(i)?
+            };
+            merge_deltas(changed, deltas);
         }
         Ok(())
     }
 
-    /// Clears the scope's relations (restoring seed rows) and re-runs its
+    /// Clears unit `i`'s relations (restoring seed rows) and re-runs its
     /// rules through the engine's stratum evaluator, returning the diff.
-    fn replay_scope(
-        &mut self,
-        rule_indices: &[usize],
-        preds: &[u32],
-        stratum_label: usize,
-    ) -> Result<Vec<(u32, PredDelta)>> {
+    fn replay_unit(&mut self, i: usize) -> Result<Vec<(u32, PredDelta)>> {
+        let unit = &self.graph.units[i];
+        let preds = &unit.preds;
         let old: Vec<(u32, Vec<Tuple>)> = preds
             .iter()
             .map(|&p| {
@@ -551,8 +448,8 @@ impl IncrementalEngine {
         let mut scratch = RunStats::default();
         run_stratum(
             &self.rules,
-            rule_indices,
-            stratum_label,
+            &unit.rules,
+            unit.stratum,
             &mut self.db,
             self.engine.registry(),
             self.engine.options(),
@@ -580,143 +477,7 @@ impl IncrementalEngine {
             .collect())
     }
 
-    /// Replays a counting unit (negation path) and rebuilds its counts.
-    fn replay_and_recount(&mut self, i: usize) -> Result<Vec<(u32, PredDelta)>> {
-        let rules = self.graph.units[i].rules.clone();
-        let preds = self.graph.units[i].preds.clone();
-        let stratum = self.graph.units[i].stratum;
-        let deltas = self.replay_scope(&rules, &preds, stratum)?;
-        self.counts.retain(|(p, _), _| !preds.contains(p));
-        for &ri in &rules {
-            let rule = &self.rules[ri];
-            let plan = &self.plans[&ri];
-            let views = vec![RowsView::All; plan.atoms.len()];
-            let mut binding = vec![None; rule.nvars];
-            enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                for h in &rule.head {
-                    if let Ok(t) = head_tuple(h, b) {
-                        *self.counts.entry((h.pred, t)).or_insert(0) += 1;
-                    }
-                }
-                true
-            })?;
-        }
-        Ok(deltas)
-    }
-
-    /// Counting maintenance: leftmost-pinned delta enumeration over the
-    /// old state for losses and the new state for gains, then zero
-    /// crossings of the derivation counts become physical changes.
-    fn counting_maintain(
-        &mut self,
-        i: usize,
-        changed: &FxHashMap<u32, PredDelta>,
-    ) -> Result<Vec<(u32, PredDelta)>> {
-        let unit = &self.graph.units[i];
-        let mut lost: FxHashMap<(u32, Tuple), u64> = FxHashMap::default();
-        let mut gained: FxHashMap<(u32, Tuple), u64> = FxHashMap::default();
-        for &ri in &unit.rules {
-            let rule = &self.rules[ri];
-            let plan = &self.plans[&ri];
-            let n = plan.atoms.len();
-            // Losses: instantiations of the OLD state using ≥1 deleted row,
-            // partitioned by the leftmost deleted-row position.
-            for k in 0..n {
-                let Some(dk) = changed.get(&plan.preds[k]) else {
-                    continue;
-                };
-                if dk.del.is_empty() {
-                    continue;
-                }
-                let views: Vec<RowsView<'_>> = (0..n)
-                    .map(|j| {
-                        let dj = changed.get(&plan.preds[j]);
-                        match (j.cmp(&k), dj) {
-                            (std::cmp::Ordering::Equal, _) => RowsView::List(&dk.del),
-                            (std::cmp::Ordering::Less, Some(d)) => RowsView::AllMinus(&d.ins_set),
-                            (std::cmp::Ordering::Greater, Some(d)) => {
-                                RowsView::AllMinusPlus(&d.ins_set, &d.del)
-                            }
-                            (_, None) => RowsView::All,
-                        }
-                    })
-                    .collect();
-                let mut binding = vec![None; rule.nvars];
-                enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                    for h in &rule.head {
-                        if let Ok(t) = head_tuple(h, b) {
-                            *lost.entry((h.pred, t)).or_insert(0) += 1;
-                        }
-                    }
-                    true
-                })?;
-            }
-            // Gains: instantiations of the NEW state using ≥1 inserted row.
-            for k in 0..n {
-                let Some(dk) = changed.get(&plan.preds[k]) else {
-                    continue;
-                };
-                if dk.ins.is_empty() {
-                    continue;
-                }
-                let views: Vec<RowsView<'_>> = (0..n)
-                    .map(|j| {
-                        let dj = changed.get(&plan.preds[j]);
-                        match (j.cmp(&k), dj) {
-                            (std::cmp::Ordering::Equal, _) => RowsView::List(&dk.ins),
-                            (std::cmp::Ordering::Less, Some(d)) => RowsView::AllMinus(&d.ins_set),
-                            _ => RowsView::All,
-                        }
-                    })
-                    .collect();
-                let mut binding = vec![None; rule.nvars];
-                enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                    for h in &rule.head {
-                        if let Ok(t) = head_tuple(h, b) {
-                            *gained.entry((h.pred, t)).or_insert(0) += 1;
-                        }
-                    }
-                    true
-                })?;
-            }
-        }
-        // Zero crossings.
-        let mut keys: Vec<(u32, Tuple)> = lost.keys().chain(gained.keys()).cloned().collect();
-        keys.sort();
-        keys.dedup();
-        let mut out: FxHashMap<u32, PredDelta> = FxHashMap::default();
-        for key in keys {
-            let l = lost.get(&key).copied().unwrap_or(0);
-            let g = gained.get(&key).copied().unwrap_or(0);
-            let seed = self.seeds.contains(&key);
-            let entry = self.counts.entry(key.clone()).or_insert(0);
-            let before = *entry > 0 || seed;
-            debug_assert!(*entry + g >= l, "derivation count underflow");
-            *entry = (*entry + g).saturating_sub(l);
-            let after = *entry > 0 || seed;
-            let gone = *entry == 0;
-            let (p, t) = key;
-            if before && !after {
-                out.entry(p).or_default().push_del(t);
-            } else if !before && after {
-                out.entry(p).or_default().push_ins(t);
-            } else if gone && !seed {
-                self.counts.remove(&(p, t));
-            }
-        }
-        // Physical application.
-        for (p, d) in &out {
-            if !d.del_set.is_empty() {
-                self.db.relation_mut(*p).remove_tuples(&d.del_set);
-            }
-            for t in &d.ins {
-                self.db.relation_mut(*p).insert(t.clone(), None);
-            }
-        }
-        Ok(out.into_iter().collect())
-    }
-
-    /// Delete-and-rederive for a recursive pure unit.
+    /// Delete-and-rederive for a pure unit.
     fn dred_maintain(
         &mut self,
         i: usize,
@@ -1216,8 +977,13 @@ mod tests {
 
     /// Opens a session on the init facts, applies each step
     /// incrementally, and after every step compares the session database
-    /// with a from-scratch run over the replayed log.
-    fn differential(src: &str, init: Facts, steps: Vec<Step>) -> IncrementalEngine {
+    /// with a from-scratch run over the replayed log. Returns the session
+    /// and the stats of every step.
+    fn differential(
+        src: &str,
+        init: Facts,
+        steps: Vec<Step>,
+    ) -> (IncrementalEngine, Vec<UpdateStats>) {
         let program = Program::parse(src).unwrap();
         let mut db = Database::new();
         for (p, vals) in &init {
@@ -1227,6 +993,7 @@ mod tests {
         let mut session = IncrementalEngine::new(&program, db).unwrap();
         assert_same(&session, &baseline(&program, &init, &[]), "initial run");
         let mut applied: Vec<Step> = Vec::new();
+        let mut stats = Vec::new();
         for (i, step) in steps.into_iter().enumerate() {
             let mut update = Update::default();
             for (p, vals) in &step.del {
@@ -1237,7 +1004,7 @@ mod tests {
                 let t = tuple(&mut session.db, vals);
                 update.insert.push((p.to_string(), t));
             }
-            session.apply_update(&update).unwrap();
+            stats.push(session.apply_update(&update).unwrap().stats);
             applied.push(step);
             assert_same(
                 &session,
@@ -1245,7 +1012,7 @@ mod tests {
                 &format!("step {i}"),
             );
         }
-        session
+        (session, stats)
     }
 
     fn e(a: &'static str, b: &'static str) -> (&'static str, Vec<V>) {
@@ -1273,14 +1040,14 @@ mod tests {
                 ins: vec![e("b", "b")],
             },
         ];
-        let session = differential(src, init, steps);
+        let (session, _) = differential(src, init, steps);
         assert_eq!(session.info().dred_units, 1);
     }
 
     #[test]
-    fn counting_tracks_multiple_derivations() {
-        // p(a) has two derivations through b; deleting one keeps it,
-        // deleting the second removes it.
+    fn dred_rederives_non_recursive_facts_with_a_surviving_derivation() {
+        // p(a) has two derivations through b; deleting one overdeletes
+        // p(a) and phase B rederives it, deleting the second removes it.
         let src = "p(X) :- a(X), b(X, _).";
         let init = vec![
             ("a", vec![V::S("a")]),
@@ -1301,8 +1068,9 @@ mod tests {
                 ins: vec![],
             },
         ];
-        let session = differential(src, init, steps);
-        assert_eq!(session.info().counting_units, 1);
+        let (session, stats) = differential(src, init, steps);
+        assert_eq!(session.info().dred_units, 1);
+        assert!(stats[0].rederived > 0, "{:?}", stats[0]);
     }
 
     #[test]
@@ -1365,7 +1133,7 @@ mod tests {
                 ins: vec![own("a", "d", 0.6)],
             },
         ];
-        let session = differential(src, init, steps);
+        let (session, _) = differential(src, init, steps);
         let info = session.info();
         assert!(info.replay_units >= 1);
         assert_eq!(info.dred_units, 1);
@@ -1392,7 +1160,7 @@ mod tests {
                 ins: vec![],
             },
         ];
-        let session = differential(src, init, steps);
+        let (session, _) = differential(src, init, steps);
         assert!(session.info().full_fallback);
     }
 
@@ -1427,6 +1195,36 @@ mod tests {
             insert: vec![("t".into(), vec![a, a])],
         };
         assert!(session.apply_update(&update).is_err());
+    }
+
+    #[test]
+    fn mixed_arity_update_is_rejected_before_any_mutation() {
+        // zz is unseen: its two inserts disagree on arity. The whole
+        // update must be refused with the session exactly as before,
+        // e(a,b) still present and zz not interned.
+        let src = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).";
+        let program = Program::parse(src).unwrap();
+        let init = vec![e("a", "b"), e("b", "c")];
+        let mut db = Database::new();
+        for (p, vals) in &init {
+            let t = tuple(&mut db, vals);
+            db.assert_fact(p, &t).unwrap();
+        }
+        let mut session = IncrementalEngine::new(&program, db).unwrap();
+        let update = session.parse_update("-e(a,b)\n+zz(a)\n+zz(a,b)\n").unwrap();
+        let err = session.apply_update(&update).unwrap_err();
+        assert!(matches!(err, DatalogError::BadFact(_)), "{err}");
+        assert_same(&session, &baseline(&program, &init, &[]), "rejected");
+        assert!(session.db().find_pred("zz").is_none());
+
+        // The session keeps working on the unchanged state.
+        let update = session.parse_update("-e(a,b)\n+zz(a)\n").unwrap();
+        session.apply_update(&update).unwrap();
+        let step = Step {
+            del: vec![e("a", "b")],
+            ins: vec![("zz", vec![V::S("a")])],
+        };
+        assert_same(&session, &baseline(&program, &init, &[step]), "accepted");
     }
 
     #[test]

@@ -1,26 +1,23 @@
 //! Dependency units and maintenance-mode classification.
 //!
-//! Strata (negation levels) are too coarse for incremental maintenance:
-//! the close-link program is a single stratum holding two very different
-//! components — the order-sensitive `acc_own` aggregation and the pure
-//! recursive `close_link` join. The *unit graph* refines each stratum into
-//! the strongly connected components of the predicate dependency graph,
-//! topologically ordered, and classifies every unit into the cheapest
-//! maintenance strategy that is still guaranteed to reproduce a
-//! from-scratch run on the post-update database:
+//! The *unit graph* splits the program into the strongly connected
+//! components of the predicate dependency graph, topologically ordered,
+//! and classifies every unit into one of two maintenance strategies, each
+//! guaranteed to reproduce a from-scratch run on the post-update database:
 //!
-//! * [`Mode::Counting`] — non-recursive pure unit: exact derivation
-//!   counts, deletions are count decrements (Gupta–Mumick).
-//! * [`Mode::DRed`] — recursive pure unit: delete-and-rederive.
+//! * [`Mode::DRed`] — pure unit, recursive or not: delete-and-rederive.
 //! * [`Mode::Replay`] — order-sensitive unit (monotonic aggregates,
 //!   Skolem invention, external calls, `@post` compaction) or a pure unit
 //!   that feeds one: its relations are cleared and its rules re-run
 //!   through the engine's own stratum loop, which reproduces the baseline
 //!   byte-for-byte because its inputs are byte-identical.
-//! * [`Mode::StratumReplay`] — a replayed unit reads a predicate derived
-//!   elsewhere in its own stratum: standalone replay would see the final
-//!   state where the baseline fixpoint interleaved partial states, so the
-//!   whole stratum is replayed jointly instead.
+//!
+//! Replaying one unit on its own is always faithful. Strata are
+//! longest-path levels over the condensation of the dependency graph
+//! (`eval::resolve`), so every cross-component dependency raises the
+//! stratum: two units of one stratum never read each other, and the
+//! baseline run, like the replay, evaluates a unit only after all its
+//! inputs have converged.
 //!
 //! Classification can also conclude that no incremental strategy is safe
 //! ([`UnitGraph::fallback_full`]): `@post` compaction discards the
@@ -40,14 +37,10 @@ use crate::fx::{FxHashMap, FxHashSet};
 /// Maintenance strategy of one unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
-    /// Count-based maintenance (non-recursive, pure).
-    Counting,
-    /// Delete-and-rederive (recursive, pure).
+    /// Delete-and-rederive (pure).
     DRed,
     /// Clear and re-run the unit's rules through the engine.
     Replay,
-    /// Re-run the whole stratum jointly (intra-stratum coupling).
-    StratumReplay,
 }
 
 /// One strongly connected component of the predicate dependency graph,
@@ -62,11 +55,8 @@ pub(crate) struct Unit {
     pub pos_inputs: Vec<u32>,
     /// Negated body predicates (always outside the unit — stratified).
     pub neg_inputs: Vec<u32>,
-    /// Stratum (negation level) of the unit's predicates.
+    /// Stratum of the unit's predicates.
     pub stratum: usize,
-    /// True when a rule's body reads a unit predicate (self-recursion or
-    /// a multi-predicate component).
-    pub recursive: bool,
     /// Chosen maintenance strategy.
     pub mode: Mode,
 }
@@ -90,10 +80,6 @@ impl Unit {
 pub(crate) struct UnitGraph {
     /// Units in evaluation order: ascending stratum, topological within.
     pub units: Vec<Unit>,
-    /// Unit index deriving each derived predicate (classification
-    /// diagnostics; the sweep itself walks `units` in order).
-    #[allow(dead_code)]
-    pub unit_of_pred: FxHashMap<u32, usize>,
     /// All derived (head) predicates.
     pub derived: FxHashSet<u32>,
     /// `@post` operations in the order [`crate::Engine::run`] applies
@@ -199,6 +185,22 @@ pub(crate) fn build_units(
     }
     debug_assert_eq!(order.len(), ncomp, "unit graph must be acyclic");
 
+    // -- posted predicates (auto-compaction, then explicit @post) --------
+    let mut posted: Vec<(u32, String, PostOp)> = Vec::new();
+    for (name, op) in &compiled.auto_post {
+        if let Some(p) = db.find_pred(name) {
+            posted.push((p, name.clone(), op.clone()));
+        }
+    }
+    for d in &program.directives {
+        if let Directive::Post(name, op) = d {
+            if let Some(p) = db.find_pred(name) {
+                posted.push((p, name.clone(), op.clone()));
+            }
+        }
+    }
+    let posted_preds: FxHashSet<u32> = posted.iter().map(|(p, _, _)| *p).collect();
+
     // -- assemble units in (stratum, topo) order -------------------------
     let stratum_of = |p: u32| -> usize {
         compiled
@@ -217,16 +219,11 @@ pub(crate) fn build_units(
         let pset: FxHashSet<u32> = preds.iter().copied().collect();
         let mut pos_inputs: Vec<u32> = Vec::new();
         let mut neg_inputs: Vec<u32> = Vec::new();
-        let mut recursive = preds.len() > 1;
         for &ri in &unit_rules[c] {
             for lit in &rules[ri].body {
                 match lit {
-                    RLiteral::Atom { atom } => {
-                        if pset.contains(&atom.pred) {
-                            recursive = true;
-                        } else {
-                            pos_inputs.push(atom.pred);
-                        }
+                    RLiteral::Atom { atom } if !pset.contains(&atom.pred) => {
+                        pos_inputs.push(atom.pred)
                     }
                     RLiteral::Negated(a) => neg_inputs.push(a.pred),
                     _ => {}
@@ -237,14 +234,19 @@ pub(crate) fn build_units(
         pos_inputs.dedup();
         neg_inputs.sort_unstable();
         neg_inputs.dedup();
+        let impure = unit_rules[c].iter().any(|&ri| !rules[ri].par_full);
+        let is_posted = preds.iter().any(|p| posted_preds.contains(p));
         units.push(Unit {
             rules: unit_rules[c].clone(),
             stratum: stratum_of(preds[0]),
             preds,
             pos_inputs,
             neg_inputs,
-            recursive,
-            mode: Mode::Counting, // placeholder, classified below
+            mode: if impure || is_posted {
+                Mode::Replay
+            } else {
+                Mode::DRed
+            },
         });
     }
     units.sort_by_key(|u| u.stratum); // stable: keeps topo order within
@@ -254,74 +256,26 @@ pub(crate) fn build_units(
         .flat_map(|(i, u)| u.preds.iter().map(move |&p| (p, i)))
         .collect();
 
-    // -- posted predicates (auto-compaction, then explicit @post) --------
-    let mut posted: Vec<(u32, String, PostOp)> = Vec::new();
-    for (name, op) in &compiled.auto_post {
-        if let Some(p) = db.find_pred(name) {
-            posted.push((p, name.clone(), op.clone()));
-        }
-    }
-    for d in &program.directives {
-        if let Directive::Post(name, op) = d {
-            if let Some(p) = db.find_pred(name) {
-                posted.push((p, name.clone(), op.clone()));
+    // -- replay taint -----------------------------------------------------
+    // The inputs of a replayed unit must match the baseline
+    // byte-for-byte (contents *and* row order) or its aggregate totals can
+    // drift by float-accumulation order — so any derived input of a
+    // replayed unit is itself replayed, transitively.
+    let mut stack: Vec<usize> = (0..units.len())
+        .filter(|&i| units[i].mode == Mode::Replay)
+        .collect();
+    while let Some(i) = stack.pop() {
+        let feeders: Vec<usize> = units[i]
+            .pos_inputs
+            .iter()
+            .chain(&units[i].neg_inputs)
+            .filter_map(|p| unit_of_pred.get(p).copied())
+            .collect();
+        for j in feeders {
+            if units[j].mode != Mode::Replay {
+                units[j].mode = Mode::Replay;
+                stack.push(j);
             }
-        }
-    }
-
-    // -- mode classification ---------------------------------------------
-    let posted_preds: FxHashSet<u32> = posted.iter().map(|(p, _, _)| *p).collect();
-    for u in units.iter_mut() {
-        let impure = u.rules.iter().any(|&ri| !rules[ri].par_full);
-        let is_posted = u.preds.iter().any(|p| posted_preds.contains(p));
-        u.mode = if impure || is_posted {
-            Mode::Replay
-        } else if u.recursive {
-            Mode::DRed
-        } else {
-            Mode::Counting
-        };
-    }
-    // Escalation fixpoint. (a) Taint: the inputs of a replayed scope must
-    // match the baseline byte-for-byte (contents *and* row order) or its
-    // aggregate totals can drift by float-accumulation order — so any
-    // derived input of a replayed unit is itself replayed. (b) Intra-
-    // stratum coupling: a replayed unit reading a predicate derived by a
-    // *different* unit of the same stratum would see its final state where
-    // the baseline interleaved partial states — replay the whole stratum
-    // jointly.
-    loop {
-        let mut changed = false;
-        for i in 0..units.len() {
-            if !matches!(units[i].mode, Mode::Replay | Mode::StratumReplay) {
-                continue;
-            }
-            let inputs: Vec<u32> = units[i]
-                .pos_inputs
-                .iter()
-                .chain(units[i].neg_inputs.iter())
-                .copied()
-                .collect();
-            for p in inputs {
-                if let Some(&j) = unit_of_pred.get(&p) {
-                    if !matches!(units[j].mode, Mode::Replay | Mode::StratumReplay) {
-                        units[j].mode = Mode::Replay;
-                        changed = true;
-                    }
-                    if units[j].stratum == units[i].stratum && j != i {
-                        let s = units[i].stratum;
-                        for u in units.iter_mut().filter(|u| u.stratum == s) {
-                            if u.mode != Mode::StratumReplay {
-                                u.mode = Mode::StratumReplay;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
         }
     }
 
@@ -342,7 +296,6 @@ pub(crate) fn build_units(
 
     Ok(UnitGraph {
         units,
-        unit_of_pred,
         derived,
         posted,
         fallback_full,
@@ -486,9 +439,14 @@ mod tests {
         (g, db, rules, program)
     }
 
-    fn unit_mode(g: &UnitGraph, db: &Database, pred: &str) -> Mode {
+    /// Index of the unit deriving `pred`.
+    fn unit_of(g: &UnitGraph, db: &Database, pred: &str) -> usize {
         let p = db.find_pred(pred).unwrap();
-        g.units[g.unit_of_pred[&p]].mode
+        g.units.iter().position(|u| u.preds.contains(&p)).unwrap()
+    }
+
+    fn unit_mode(g: &UnitGraph, db: &Database, pred: &str) -> Mode {
+        g.units[unit_of(g, db, pred)].mode
     }
 
     #[test]
@@ -503,35 +461,34 @@ mod tests {
         assert_eq!(unit_mode(&g, &db, "acc"), Mode::Replay);
         assert_eq!(unit_mode(&g, &db, "cl"), Mode::DRed);
         // acc (the replayed unit) evaluates before cl.
-        let acc = g.unit_of_pred[&db.find_pred("acc").unwrap()];
-        let cl = g.unit_of_pred[&db.find_pred("cl").unwrap()];
+        let acc = unit_of(&g, &db, "acc");
+        let cl = unit_of(&g, &db, "cl");
         assert!(acc < cl);
     }
 
     #[test]
-    fn pure_programs_get_counting_and_dred() {
+    fn pure_units_get_dred_recursive_or_not() {
         let (g, db, _, _) = graph_of(
             "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).\n\
              summary(X) :- t(X, _), n(X).",
         );
         assert_eq!(unit_mode(&g, &db, "t"), Mode::DRed);
-        assert_eq!(unit_mode(&g, &db, "summary"), Mode::Counting);
+        assert_eq!(unit_mode(&g, &db, "summary"), Mode::DRed);
     }
 
     #[test]
     fn aggregate_feeder_is_tainted_to_replay() {
         // base is pure and non-recursive, but its row order feeds the
-        // aggregate in total — so it must be replayed, not counted. The
-        // negation pushes acc a stratum above base, so this exercises the
-        // cross-stratum taint rule rather than intra-stratum coupling.
+        // aggregate in total — so it must be replayed, not DRed-maintained.
+        // The reader sits a stratum above it.
         let (g, db, _, _) = graph_of(
             "base(X, Y, W) :- e(X, Y, W).\n\
              acc(X, V) :- base(X, _, W), not skip(X), V = msum(W, <X>).",
         );
         assert_eq!(unit_mode(&g, &db, "base"), Mode::Replay);
         assert_eq!(unit_mode(&g, &db, "acc"), Mode::Replay);
-        let b = g.unit_of_pred[&db.find_pred("base").unwrap()];
-        let a = g.unit_of_pred[&db.find_pred("acc").unwrap()];
+        let b = unit_of(&g, &db, "base");
+        let a = unit_of(&g, &db, "acc");
         assert!(g.units[b].stratum < g.units[a].stratum);
     }
 
@@ -539,21 +496,31 @@ mod tests {
     fn replayed_aggregate_taints_derived_inputs() {
         // The aggregate reads helper, a derived unit: replay correctness
         // needs helper's contents *and row order* to match the baseline,
-        // so the taint escalation replays helper too. (Since strata now
-        // split on every cross-component dependency, helper converges in
-        // an earlier stratum than acc — two units of the same stratum can
-        // never read each other, so the intra-stratum coupling escalation
-        // is a defensive backstop rather than a reachable state here.)
+        // so the taint replays helper too. Strata split on every
+        // cross-component dependency, so helper converges in an earlier
+        // stratum than acc and a standalone replay of acc sees it final.
         let (g, db, _, _) = graph_of(
             "helper(X, Y, W) :- e(X, Y, W), own(X).\n\
              acc(X, V) :- helper(X, _, W), V = msum(W, <X>).",
         );
         assert!(
-            g.units[g.unit_of_pred[&db.find_pred("helper").unwrap()]].stratum
-                < g.units[g.unit_of_pred[&db.find_pred("acc").unwrap()]].stratum
+            g.units[unit_of(&g, &db, "helper")].stratum < g.units[unit_of(&g, &db, "acc")].stratum
         );
         assert_eq!(unit_mode(&g, &db, "helper"), Mode::Replay);
         assert_eq!(unit_mode(&g, &db, "acc"), Mode::Replay);
+    }
+
+    #[test]
+    fn taint_reaches_feeders_of_feeders() {
+        let (g, db, _, _) = graph_of(
+            "pre(X, W) :- e(X, W).\n\
+             helper(X, W) :- pre(X, W), own(X).\n\
+             acc(X, V) :- helper(X, W), V = msum(W, <X>).\n\
+             side(X) :- pre(X, _).",
+        );
+        assert_eq!(unit_mode(&g, &db, "pre"), Mode::Replay);
+        assert_eq!(unit_mode(&g, &db, "helper"), Mode::Replay);
+        assert_eq!(unit_mode(&g, &db, "side"), Mode::DRed);
     }
 
     #[test]
@@ -584,9 +551,9 @@ mod tests {
              unreach(X) :- node(X), not reach(X).",
         );
         assert_eq!(unit_mode(&g, &db, "reach"), Mode::DRed);
-        assert_eq!(unit_mode(&g, &db, "unreach"), Mode::Counting);
-        let ru = g.unit_of_pred[&db.find_pred("reach").unwrap()];
-        let uu = g.unit_of_pred[&db.find_pred("unreach").unwrap()];
+        assert_eq!(unit_mode(&g, &db, "unreach"), Mode::DRed);
+        let ru = unit_of(&g, &db, "reach");
+        let uu = unit_of(&g, &db, "unreach");
         assert!(g.units[ru].stratum < g.units[uu].stratum);
         assert_eq!(g.units[uu].neg_inputs.len(), 1);
     }

@@ -8,8 +8,9 @@
 //! fresh database and running the engine once. Programs come from the
 //! PR 3 synthetic generator — shuffled chain joins, filters, arithmetic
 //! bindings, stratified negation, bounded recursion — so the maintained
-//! paths (counting, DRed, negation replay) all get exercised, including
-//! deletions that sever one derivation path while another survives.
+//! paths (DRed on recursive and non-recursive units, negation replay) all
+//! get exercised, including deletions that sever one derivation path
+//! while another survives.
 
 use datalog::incr::{IncrementalEngine, Update};
 use datalog::{Database, Engine, Program};
@@ -252,15 +253,21 @@ fn synthetic_update_logs_match_from_scratch_more_seeds() {
 }
 
 #[test]
-fn maintained_strategies_are_actually_used() {
-    // Meta-test: across the tested seeds the sessions must select both
-    // counting and DRed units — otherwise the differentials above are
-    // exercising replay only.
-    let mut saw_counting = false;
-    let mut saw_dred = false;
+fn non_recursive_pure_units_are_dred_maintained() {
+    // Meta-test: every generated program is pure, and only `tc` is
+    // recursive — so every derived predicate is its own DRed unit, and
+    // the non-recursive ones (`r*`, `hit`, `quiet`) are DRed-maintained
+    // too. Otherwise the differentials above are exercising replay only.
     for seed in 0..6u64 {
         let src = synth_program(&mut Rng(seed));
         let program = Program::parse(&src).unwrap();
+        let mut heads: Vec<&str> = program
+            .rules
+            .iter()
+            .flat_map(|r| r.head.iter().map(|h| h.pred.as_str()))
+            .collect();
+        heads.sort_unstable();
+        heads.dedup();
         let (init, _) = synth_log(&mut Rng(seed ^ 0x5EED), 24, 70, 0);
         let mut db = Database::new();
         for (p, vals) in &init {
@@ -269,11 +276,10 @@ fn maintained_strategies_are_actually_used() {
         }
         let session = IncrementalEngine::new(&program, db).unwrap();
         let info = session.info();
-        saw_counting |= info.counting_units > 0;
-        saw_dred |= info.dred_units > 0;
         assert!(!info.full_fallback, "pure programs never fall back");
+        assert_eq!(info.replay_units, 0, "seed {seed}\n{src}");
+        assert_eq!(info.dred_units, heads.len(), "seed {seed}\n{src}");
     }
-    assert!(saw_counting && saw_dred, "strategy coverage lost");
 }
 
 proptest! {

@@ -610,6 +610,36 @@ mod tests {
     }
 
     #[test]
+    fn mixed_arity_update_leaves_the_session_untouched() {
+        // zz is unseen and its inserts disagree on arity: the writer must
+        // refuse the whole update without having deleted edge(a,b), so the
+        // next commit publishes the log-replay state.
+        let svc = service();
+        let err = svc.apply_delta("-edge(a,b)\n+zz(a)\n+zz(a,b)").unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadUpdate);
+        svc.apply_delta("+edge(c,d)").unwrap();
+
+        let program = Program::parse(PROGRAM).unwrap();
+        let mut reference = Database::new();
+        reference.assert_str_facts("edge", &[&["a", "b"], &["b", "c"], &["c", "d"]]);
+        Engine::new(&program).unwrap().run(&mut reference).unwrap();
+        let pin = svc.pin();
+        let db = pin.db();
+        let names = |d: &Database| -> Vec<String> {
+            (0..d.pred_count() as u32)
+                .map(|p| d.pred_name(p).to_owned())
+                .collect()
+        };
+        for name in names(db).into_iter().chain(names(&reference)) {
+            assert_eq!(
+                db.dump_canonical(&name),
+                reference.dump_canonical(&name),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn explain_renders_a_derivation_tree() {
         let svc = service();
         let (epoch, tree) = svc.explain("reach(\"a\", \"c\")?", 8).unwrap();
