@@ -6,56 +6,77 @@
 //! ```
 //!
 //! `small` (default) finishes in a few minutes; `full` pushes the sweeps
-//! to the paper's ranges (100k-person graphs, 1–500 clusters).
+//! to the paper's ranges (100k-person graphs, 1–500 clusters). An unknown
+//! experiment or scale exits 2 with the list of valid names.
 //!
-//! `--bench-json` skips the figure sweeps and instead writes a
-//! schema-validated JSON benchmark artifact. With the default experiment
-//! selection it benchmarks the bundled Vadalog programs with cost-based
-//! planning on vs off (`BENCH_datalog.json`, schema
-//! `vadalink-bench-datalog/1`); with `--exp incr` it benchmarks
-//! incremental update propagation vs full recomputation across batch
-//! sizes (`BENCH_incr.json`, schema `vadalink-bench-incr/1`); with
-//! `--exp magic` it benchmarks goal-directed point lookups vs full
-//! evaluation (`BENCH_magic.json`, schema `vadalink-bench-magic/1`, whose
-//! validator demands an integer-factor wall-clock win per lookup); with
-//! `--exp serve` it drives a live `vadalink serve` instance over TCP with
-//! a closed-loop zipfian reader workload across reader/writer mixes
-//! (`BENCH_serve.json`, schema `vadalink-bench-serve/1`: sustained qps,
-//! p50/p99 latency, epoch-swap stall); with `--exp compile` it benchmarks
-//! closure-chain compiled execution vs the interpreted step machine plus
-//! the linkage distance kernels vs their scalar references
-//! (`BENCH_compile.json`, schema `vadalink-bench-compile/1`); with
-//! `--exp store` it benchmarks the durable store — recovery time vs
-//! snapshot cadence after a simulated crash, and one large-register scale
-//! probe (1M persons at `--full`) — writing `BENCH_store.json` (schema
-//! `vadalink-bench-store/2`). All
-//! documents are validated in-process before they are written, so a
-//! malformed artifact fails loudly — CI smokes every path in release
+//! `--bench-json` skips the figure sweeps and instead writes the
+//! experiment's JSON benchmark artifact (to `PATH`, or to the default
+//! file below). Experiments without an artifact (`t1`, `fig4*`,
+//! `threads`, `ablations`) exit 2.
+//!
+//! * `all` (default): `BENCH_datalog.json` — bundled programs, cost-based
+//!   planning on vs off;
+//! * `incr`: `BENCH_incr.json` — incremental update propagation vs full
+//!   recomputation across batch sizes;
+//! * `magic`: `BENCH_magic.json` — goal-directed point lookups vs full
+//!   evaluation (an integer-factor win per lookup);
+//! * `serve`: `BENCH_serve.json` — a live `vadalink serve` over TCP,
+//!   closed-loop zipfian readers across reader/writer mixes (qps,
+//!   p50/p99, epoch-swap stall);
+//! * `compile`: `BENCH_compile.json` — closure-chain compiled execution
+//!   vs the interpreted step machine, and the linkage distance kernels vs
+//!   their scalar references;
+//! * `store`: `BENCH_store.json` — recovery time vs snapshot cadence
+//!   after a simulated crash, and one large-register probe (1M persons
+//!   at `--scale full`).
+//!
+//! Every document is rendered and then checked by the same schema table
+//! in `bench::artifact` before it is written, so a malformed artifact
+//! exits 1 instead of landing on disk — CI smokes every path in release
 //! mode.
 //!
-//! `--exp incr` without `--bench-json` prints the same sweep as a table:
-//! per batch size, incremental update latency, full-recompute time, the
-//! speedup, and the number of changed facts.
+//! Without `--bench-json`, `incr`, `magic`, `serve`, `compile` and `store`
+//! print their sweep as a table; `all` runs the figures and `incr`.
 
-use bench::bench_json::{render_bench_json, run_datalog_bench, validate_bench_json, BenchConfig};
-use bench::compile_bench::{
-    render_compile_json, run_compile_bench, run_kernel_bench, validate_compile_json, CompileConfig,
-};
+use bench::artifact::{Json, Schema};
+use bench::compile_bench::{run_compile_bench, run_kernel_bench, CompileConfig};
+use bench::datalog_bench::{run_datalog_bench, BenchConfig};
 use bench::experiments::*;
-use bench::incr_bench::{render_incr_json, run_incr_bench, validate_incr_json, IncrConfig};
-use bench::magic_bench::{render_magic_json, run_magic_bench, validate_magic_json, MagicConfig};
-use bench::serve_bench::{
-    render_serve_json, run_serve_bench, validate_serve_json, Mix, ServeBenchConfig, Workload,
-};
-use bench::store_bench::{
-    render_store_json, run_store_bench, validate_store_json, StoreBenchConfig,
-};
+use bench::incr_bench::{run_incr_bench, IncrConfig};
+use bench::magic_bench::{run_magic_bench, MagicConfig};
+use bench::serve_bench::{run_serve_bench, Mix, ServeBenchConfig, Workload};
+use bench::store_bench::{run_store_bench, StoreBenchConfig};
+use bench::{compile_bench, datalog_bench, incr_bench, magic_bench, serve_bench, store_bench};
+
+/// Every valid `--exp` value.
+const EXPERIMENTS: &str =
+    "all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|magic|serve|compile|store";
+
+/// Runs one experiment (`true`: full scale), prints its sweep and
+/// returns its artifact document.
+type Runner = fn(bool) -> Json;
+
+/// The experiments with a JSON artifact: `--exp` value, format (which
+/// names the default path) and runner.
+const ARTIFACTS: [(&str, &Schema, Runner); 6] = [
+    ("all", &datalog_bench::SCHEMA, run_datalog),
+    ("incr", &incr_bench::SCHEMA, run_incr),
+    ("magic", &magic_bench::SCHEMA, run_magic),
+    ("serve", &serve_bench::SCHEMA, run_serve),
+    ("compile", &compile_bench::SCHEMA, run_compile),
+    ("store", &store_bench::SCHEMA, run_store),
+];
 
 struct Args {
     exp: String,
     full: bool,
     /// `Some(None)` = `--bench-json` with the default path.
     bench_json: Option<Option<String>>,
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Args {
@@ -79,25 +100,28 @@ fn parse_args() -> Args {
             }
             "--exp" => {
                 i += 1;
-                exp = argv.get(i).cloned().unwrap_or_else(|| "all".to_owned());
+                exp = match argv.get(i) {
+                    Some(e) if EXPERIMENTS.split('|').any(|x| x == e) => e.clone(),
+                    other => usage_error(&format!("--exp expects {EXPERIMENTS} (got {other:?})")),
+                };
             }
             "--scale" => {
                 i += 1;
-                full = argv.get(i).map(|s| s == "full").unwrap_or(false);
+                full = match argv.get(i).map(String::as_str) {
+                    Some("small") => false,
+                    Some("full") => true,
+                    other => usage_error(&format!("--scale expects small|full (got {other:?})")),
+                };
             }
             "--threads" => {
                 i += 1;
                 let n: usize = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
                 if n == 0 {
-                    eprintln!("--threads expects a positive integer");
-                    std::process::exit(2);
+                    usage_error("--threads expects a positive integer");
                 }
                 par::set_threads(n);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
         i += 1;
     }
@@ -110,9 +134,24 @@ fn parse_args() -> Args {
 
 const SEED: u64 = 0xEDB7;
 
-/// Runs the datalog plan-on/plan-off benchmark and writes + validates the
-/// JSON artifact. Exits non-zero on schema or identity failure.
-fn run_bench_json(path: &str, full: bool) {
+/// Renders `doc`, validates the text against `schema` and writes it to
+/// `path`. Exits 1 when the document fails its schema or cannot be
+/// written.
+fn write_artifact(schema: &Schema, doc: &Json, path: &str) {
+    let text = schema.render(doc);
+    if let Err(e) = schema.validate(&text) {
+        eprintln!("generated benchmark JSON failed schema validation: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = std::fs::write(path, &text) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("\nwrote {path} (schema {} — validated)", schema.tag);
+}
+
+/// Runs the datalog plan-on/plan-off benchmark.
+fn run_datalog(full: bool) -> Json {
     let cfg = BenchConfig {
         persons: if full { 4_000 } else { 1_500 },
         seed: SEED,
@@ -140,40 +179,21 @@ fn run_bench_json(path: &str, full: bool) {
             r.peak_relation_rows
         );
     }
-    let text = render_bench_json(&cfg, &rows);
-    if let Err(e) = validate_bench_json(&text) {
-        eprintln!("generated benchmark JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(path, &text) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nwrote {path} (schema {} — validated)",
-        bench::bench_json::BENCH_SCHEMA
-    );
+    datalog_bench::doc(&cfg, &rows)
 }
 
-/// Shared workload knobs of the incremental sweep (table and JSON modes).
-/// The small scale stays above the acceptance floor (>= 1500 persons,
-/// where the close-link join the session avoids re-running is large enough
-/// for single-edge updates to clear their 5x speedup bar with margin).
-fn incr_config(full: bool) -> IncrConfig {
-    IncrConfig {
+/// Runs the incremental-vs-recompute sweep. The small scale stays above
+/// the acceptance floor (>= 1500 persons, where the close-link join the
+/// session avoids re-running is large enough for single-edge updates to
+/// clear their 5x speedup bar with margin).
+fn run_incr(full: bool) -> Json {
+    let cfg = IncrConfig {
         persons: if full { 8_000 } else { 4_000 },
         seed: SEED,
         threads: 1,
         repeats: if full { 5 } else { 3 },
         batches: vec![1, 8, 64, 256],
-    }
-}
-
-/// Runs the incremental-vs-recompute sweep; optionally writes + validates
-/// the `BENCH_incr.json` artifact. Exits non-zero on schema or identity
-/// failure.
-fn run_incr(json_path: Option<&str>, full: bool) {
-    let cfg = incr_config(full);
+    };
     println!(
         "Incremental maintenance bench: close_link updates vs full recompute \
          ({} persons, {} repeats, 1 thread)",
@@ -192,27 +212,11 @@ fn run_incr(json_path: Option<&str>, full: bool) {
         assert!(r.outputs_match, "batch {}: maintenance diverged", r.batch);
     }
     println!("acceptance: single-edge updates >= 5x faster than recomputation (EXPERIMENTS.md).");
-    if let Some(path) = json_path {
-        let text = render_incr_json(&cfg, &rows);
-        if let Err(e) = validate_incr_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::incr_bench::INCR_SCHEMA
-        );
-    }
+    incr_bench::doc(&cfg, &rows)
 }
 
-/// Runs the goal-directed point-lookup sweep; optionally writes +
-/// validates the `BENCH_magic.json` artifact. Exits non-zero on schema,
-/// identity or speedup failure.
-fn run_magic(json_path: Option<&str>, full: bool) {
+/// Runs the goal-directed point-lookup sweep.
+fn run_magic(full: bool) -> Json {
     let cfg = MagicConfig {
         persons: if full { 4_000 } else { 1_500 },
         seed: SEED,
@@ -246,27 +250,12 @@ fn run_magic(json_path: Option<&str>, full: bool) {
         assert!(r.outputs_match, "{}: answers diverged", r.goal);
     }
     println!("acceptance: every lookup wins by an integer factor (EXPERIMENTS.md).");
-    if let Some(path) = json_path {
-        let text = render_magic_json(&cfg, &rows);
-        if let Err(e) = validate_magic_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::magic_bench::MAGIC_SCHEMA
-        );
-    }
+    magic_bench::doc(&cfg, &rows)
 }
 
 /// Runs the serving-throughput sweep against a live `vadalink serve`
-/// instance; optionally writes + validates the `BENCH_serve.json`
-/// artifact. Exits non-zero on schema failure.
-fn run_serve(json_path: Option<&str>, full: bool) {
+/// instance.
+fn run_serve(full: bool) -> Json {
     let cfg = ServeBenchConfig {
         persons: if full { 2_000 } else { 600 },
         seed: SEED,
@@ -321,27 +310,11 @@ fn run_serve(json_path: Option<&str>, full: bool) {
         "acceptance: every mix sustains positive qps with ordered percentiles; \
          writer mixes commit epochs without stalling readers out (EXPERIMENTS.md)."
     );
-    if let Some(path) = json_path {
-        let text = render_serve_json(&cfg, &rows);
-        if let Err(e) = validate_serve_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::serve_bench::SERVE_SCHEMA
-        );
-    }
+    serve_bench::doc(&cfg, &rows)
 }
 
-/// Runs the compiled-vs-interpreted sweep (programs + linkage kernels);
-/// optionally writes + validates the `BENCH_compile.json` artifact. Exits
-/// non-zero on schema or identity failure.
-fn run_compile(json_path: Option<&str>, full: bool) {
+/// Runs the compiled-vs-interpreted sweep (programs + linkage kernels).
+fn run_compile(full: bool) -> Json {
     // Full scale sits in the join-dominated regime where the per-tuple
     // dispatch savings dominate shared costs (generation, canonical sort,
     // insertion); the quick scale is a CI-friendly smoke of the same sweep.
@@ -391,28 +364,12 @@ fn run_compile(json_path: Option<&str>, full: bool) {
         );
     }
     println!("acceptance: close_link >= 1.5x compiled, kernels beat references (EXPERIMENTS.md).");
-    if let Some(path) = json_path {
-        let text = render_compile_json(&cfg, &programs, &kernels);
-        if let Err(e) = validate_compile_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::compile_bench::COMPILE_SCHEMA
-        );
-    }
+    compile_bench::doc(&cfg, &programs, &kernels)
 }
 
 /// Runs the durable-store sweeps (recovery vs snapshot cadence, register
-/// scale); optionally writes + validates the
-/// `BENCH_store.json` artifact. Exits non-zero on schema or identity
-/// failure.
-fn run_store(json_path: Option<&str>, full: bool) {
+/// scale).
+fn run_store(full: bool) -> Json {
     let cfg = StoreBenchConfig {
         persons: if full { 8_000 } else { 2_000 },
         seed: SEED,
@@ -457,45 +414,25 @@ fn run_store(json_path: Option<&str>, full: bool) {
         "acceptance: every cadence recovers canonically identical state \
          (EXPERIMENTS.md)."
     );
-    if let Some(path) = json_path {
-        let text = render_store_json(&cfg, &report);
-        if let Err(e) = validate_store_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::store_bench::STORE_SCHEMA
-        );
-    }
+    store_bench::doc(&cfg, &report)
 }
 
 fn main() {
     let args = parse_args();
     if let Some(path) = &args.bench_json {
-        if args.exp == "incr" {
-            let path = path.as_deref().unwrap_or("BENCH_incr.json");
-            run_incr(Some(path), args.full);
-        } else if args.exp == "magic" {
-            let path = path.as_deref().unwrap_or("BENCH_magic.json");
-            run_magic(Some(path), args.full);
-        } else if args.exp == "serve" {
-            let path = path.as_deref().unwrap_or("BENCH_serve.json");
-            run_serve(Some(path), args.full);
-        } else if args.exp == "compile" {
-            let path = path.as_deref().unwrap_or("BENCH_compile.json");
-            run_compile(Some(path), args.full);
-        } else if args.exp == "store" {
-            let path = path.as_deref().unwrap_or("BENCH_store.json");
-            run_store(Some(path), args.full);
-        } else {
-            let path = path.as_deref().unwrap_or("BENCH_datalog.json");
-            run_bench_json(path, args.full);
-        }
+        let Some(&(_, schema, run)) = ARTIFACTS.iter().find(|a| a.0 == args.exp) else {
+            let with: Vec<&str> = ARTIFACTS.iter().map(|a| a.0).collect();
+            usage_error(&format!(
+                "--bench-json: experiment '{}' writes no artifact (artifacts: {})",
+                args.exp,
+                with.join("|")
+            ));
+        };
+        write_artifact(
+            schema,
+            &run(args.full),
+            path.as_deref().unwrap_or(schema.file),
+        );
         return;
     }
     let run = |name: &str| args.exp == "all" || args.exp == name;
@@ -616,27 +553,27 @@ fn main() {
     }
 
     if run("incr") {
-        run_incr(None, args.full);
+        run_incr(args.full);
         println!();
     }
 
     if args.exp == "magic" {
-        run_magic(None, args.full);
+        run_magic(args.full);
         println!();
     }
 
     if args.exp == "serve" {
-        run_serve(None, args.full);
+        run_serve(args.full);
         println!();
     }
 
     if args.exp == "compile" {
-        run_compile(None, args.full);
+        run_compile(args.full);
         println!();
     }
 
     if args.exp == "store" {
-        run_store(None, args.full);
+        run_store(args.full);
         println!();
     }
 }

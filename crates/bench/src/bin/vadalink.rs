@@ -77,9 +77,9 @@ use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
 
+use bench::workload::fresh_db;
 use pgraph::{io, NodeId};
 use vada_link::kg::KnowledgeGraph;
-use vada_link::mapping::load_facts;
 use vada_link::model::CompanyGraph;
 use vada_link::paper_graphs::figure1;
 use vada_link::programs::{plan_report, run_close_links, CLOSELINK_PROGRAM, CONTROL_PROGRAM};
@@ -329,7 +329,7 @@ fn run_check(opts: &Opts) -> Result<ExitCode, String> {
 /// the stable code, severity, rule index, resolved source location and
 /// message, in the analyzer's deterministic order.
 fn render_check_json(path: &str, src: &str, analysis: &datalog::Analysis) -> String {
-    use bench::bench_json::esc;
+    use serve::json::esc;
 
     let mut s = String::new();
     s.push_str("{\n");
@@ -389,10 +389,7 @@ fn run_query(opts: &Opts) -> Result<ExitCode, String> {
     let g = load_graph(opts)?;
     let program = datalog::Program::parse(&src).map_err(|e| format!("{spec}: {e}"))?;
     let engine = datalog::Engine::new(&program).map_err(|e| e.to_string())?;
-    let mut db = datalog::Database::new();
-    load_facts(&g, &mut db);
-    db.assert_fact("th", &[datalog::Const::float(opts.threshold)])
-        .map_err(|e| e.to_string())?;
+    let db = fresh_db(&g, Some(opts.threshold));
     let answer = engine.query(&db, goal).map_err(|e| e.to_string())?;
     for row in &answer.rows {
         println!("{row}");
@@ -429,16 +426,12 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
     let upd_path = opts.update.as_ref().ok_or("--update is required")?;
     let upd_src = std::fs::read_to_string(upd_path).map_err(|e| format!("{upd_path}: {e}"))?;
     let program = datalog::Program::parse(&src).map_err(|e| format!("{spec}: {e}"))?;
-    let fresh_db = |opts: &Opts| -> Result<datalog::Database, String> {
+    let boot_db = |opts: &Opts| -> Result<datalog::Database, String> {
         let g = load_graph(opts)?;
         if opts.explain_plan {
             eprintln!("{}", plan_report(&src, &g, Some(opts.threshold)));
         }
-        let mut db = datalog::Database::new();
-        load_facts(&g, &mut db);
-        db.assert_fact("th", &[datalog::Const::float(opts.threshold)])
-            .map_err(|e| e.to_string())?;
-        Ok(db)
+        Ok(fresh_db(&g, Some(opts.threshold)))
     };
     let (mut session, mut durable) = if let Some(dir) = &opts.data_dir {
         let (mut store, recovery) =
@@ -454,7 +447,7 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
         // only the first boot of an empty directory.
         let base = match recovery.base {
             Some(db) => db,
-            None => fresh_db(opts)?,
+            None => boot_db(opts)?,
         };
         let mut session =
             datalog::IncrementalEngine::new(&program, base).map_err(|e| e.to_string())?;
@@ -472,8 +465,8 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
         }
         (session, Some(store))
     } else {
-        let session = datalog::IncrementalEngine::new(&program, fresh_db(opts)?)
-            .map_err(|e| e.to_string())?;
+        let session =
+            datalog::IncrementalEngine::new(&program, boot_db(opts)?).map_err(|e| e.to_string())?;
         (session, None)
     };
     let update = session
@@ -542,10 +535,7 @@ fn run_serve_cmd(opts: &Opts) -> Result<ExitCode, String> {
     };
     let g = load_graph(opts)?;
     let program = datalog::Program::parse(&src).map_err(|e| format!("{spec}: {e}"))?;
-    let mut db = datalog::Database::new();
-    load_facts(&g, &mut db);
-    db.assert_fact("th", &[datalog::Const::float(opts.threshold)])
-        .map_err(|e| e.to_string())?;
+    let db = fresh_db(&g, Some(opts.threshold));
     let cfg = serve::ServiceConfig {
         name: spec.to_owned(),
         threads: 0,

@@ -1,15 +1,15 @@
 //! Compiled-execution benchmark: `repro --exp compile`.
 //!
 //! Two families of measurements back the compiled-execution claim, and
-//! both land in one `BENCH_compile.json` artifact (schema
-//! [`COMPILE_SCHEMA`]):
+//! both land in one `BENCH_compile.json` artifact ([`SCHEMA`],
+//! `vadalink-bench-compile/1`):
 //!
 //! * **Programs** — the bundled Vadalog programs run over a generated
 //!   company graph twice per program, closure-chain compilation on and
 //!   off (cost planning stays on in both, so the delta isolates the
-//!   executor). The harness re-uses the plan benchmark's interleaved
-//!   `timed_pair` discipline and asserts the two database images are
-//!   identical before reporting a speedup.
+//!   executor). The harness re-uses the planner benchmark's interleaved
+//!   [`timed_pair`] and asserts the two database images are identical
+//!   before reporting a speedup.
 //! * **Kernels** — the `linkage::distance` hot functions timed against
 //!   their scalar [`linkage::distance::reference`] twins over a fixed
 //!   corpus of generated name pairs (the Fig. 4a inner loop), reported
@@ -30,74 +30,102 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use datalog::{Engine, Program};
-use gen::company::{generate, CompanyGraphConfig};
 use linkage::distance;
-use vada_link::model::CompanyGraph;
-use vada_link::programs::{CLOSELINK_PROGRAM, CONTROL_PROGRAM, GENERIC_PIPELINE_PROGRAM};
 
-use crate::bench_json::{
-    check_doc_header, db_snapshot, esc, non_empty_array, num, timed_pair, want_num, JVal,
-};
-
-/// Schema tag written into — and demanded from — every compile-bench
-/// document.
-pub const COMPILE_SCHEMA: &str = "vadalink-bench-compile/1";
-
-/// Close-link threshold used for the benchmark run (the paper's default).
-const CLOSELINK_THRESHOLD: f64 = 0.2;
+use crate::artifact::{array, cells, each_row, number, row, Check::*, Json, Row, Schema, Section};
+use crate::datalog_bench::regression_flag;
+use crate::workload::{company_graph, timed_pair, tuple_image, PROGRAMS};
 
 /// Speedup below which a row is flagged (and the document rejected) as a
-/// regression. Strictly below 1.0 by a noise margin: the control and
-/// generic-pipeline rows are identity witnesses at ≈1.00×, and a hard
-/// failure must not hinge on which side of 1.0 a microsecond of timer
-/// noise lands.
+/// regression; the margin below 1.0 is explained in the module doc.
 pub const REGRESSION_BAND: f64 = 0.95;
 
-/// Measurements for one bundled program, compiled vs interpreted.
-#[derive(Debug, Clone)]
-pub struct CompileProgramBench {
-    /// Program name (`control`, `close_link`, `generic_pipeline`).
-    pub name: &'static str,
-    /// Best-of-`repeats` fixpoint wall time with closure-chain compiled
-    /// execution (planning on in both modes).
-    pub compiled_secs: f64,
-    /// Best-of-`repeats` fixpoint wall time with the interpreted step
-    /// machine.
-    pub interpreted_secs: f64,
-    /// `interpreted_secs / compiled_secs` — how much compilation buys.
-    pub speedup: f64,
-    /// Facts derived by the fixpoint (identical across modes).
-    pub facts_derived: usize,
-    /// Semi-naive rounds across strata (identical across modes).
-    pub rounds: usize,
-    /// Whether the compiled and interpreted runs produced identical
-    /// databases (every relation, every tuple).
-    pub outputs_match: bool,
-    /// True when compilation made the run slower than the
-    /// [`REGRESSION_BAND`] noise margin allows.
-    pub regression: bool,
+/// The `BENCH_compile.json` format.
+pub const SCHEMA: Schema = Schema {
+    tag: "vadalink-bench-compile/1",
+    file: "BENCH_compile.json",
+    header: &[
+        ("persons", Int(1)),
+        ("seed", Int(1)),
+        ("threads", Int(1)),
+        ("repeats", Int(1)),
+        ("kernel_pairs", Int(1)),
+    ],
+    sections: &[
+        Section::Rows("programs", CompileProgramBench::FIELDS),
+        Section::Rows("kernels", KernelBench::FIELDS),
+    ],
+    rule,
+};
+
+/// `regression` must agree with `speedup < REGRESSION_BAND`, and a
+/// flagged row fails the document.
+fn rule(doc: &Json) -> Result<(), String> {
+    for section in ["programs", "kernels"] {
+        each_row(doc, section, |row| {
+            let speedup = number(row, "speedup");
+            if regression_flag(row, speedup < REGRESSION_BAND)? {
+                return Err(format!(
+                    "{}: compiled path slower than baseline \
+                     (speedup {speedup:.3} < {REGRESSION_BAND}) — regression flagged",
+                    row.str_of("name").unwrap_or_default()
+                ));
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
 }
 
-/// Measurements for one linkage distance kernel, fast path vs scalar
-/// reference, over the same pair corpus.
-#[derive(Debug, Clone)]
-pub struct KernelBench {
-    /// Kernel name (`levenshtein`, `jaro_winkler`).
-    pub name: &'static str,
-    /// Best-of-`repeats` nanoseconds per pair for the public kernel.
-    pub kernel_ns_per_pair: f64,
-    /// Best-of-`repeats` nanoseconds per pair for the scalar reference.
-    pub reference_ns_per_pair: f64,
-    /// `reference_ns_per_pair / kernel_ns_per_pair`.
-    pub speedup: f64,
-    /// Pairs in the corpus.
-    pub pairs: usize,
-    /// Whether kernel and reference produced identical outputs on every
-    /// pair (checked exactly, bit-level for floats).
-    pub outputs_match: bool,
-    /// True when the kernel was slower than the reference by more than
-    /// the [`REGRESSION_BAND`] noise margin.
-    pub regression: bool,
+row! {
+    /// Measurements for one bundled program, compiled vs interpreted.
+    #[derive(Debug, Clone)]
+    pub struct CompileProgramBench {
+        /// Program name (`control`, `close_link`, `generic_pipeline`).
+        pub name: &'static str = Name,
+        /// Best-of-`repeats` fixpoint wall time with closure-chain
+        /// compiled execution (planning on in both modes).
+        pub compiled_secs: f64 = Pos,
+        /// Best-of-`repeats` fixpoint wall time with the interpreted step
+        /// machine.
+        pub interpreted_secs: f64 = Pos,
+        /// `interpreted_secs / compiled_secs` — how much compilation buys.
+        pub speedup: f64 = Pos,
+        /// Facts derived by the fixpoint (identical across modes).
+        pub facts_derived: usize = Int(0),
+        /// Semi-naive rounds across strata (identical across modes).
+        pub rounds: usize = Int(0),
+        /// Whether the compiled and interpreted runs produced identical
+        /// databases (every relation, every tuple).
+        pub outputs_match: bool = True,
+        /// True when compilation made the run slower than the
+        /// [`REGRESSION_BAND`] noise margin allows.
+        pub regression: bool = Bool,
+    }
+}
+
+row! {
+    /// Measurements for one linkage distance kernel, fast path vs scalar
+    /// reference, over the same pair corpus.
+    #[derive(Debug, Clone)]
+    pub struct KernelBench {
+        /// Kernel name (`levenshtein`, `jaro_winkler`).
+        pub name: &'static str = Name,
+        /// Best-of-`repeats` nanoseconds per pair for the public kernel.
+        pub kernel_ns_per_pair: f64 = Pos,
+        /// Best-of-`repeats` nanoseconds per pair for the scalar reference.
+        pub reference_ns_per_pair: f64 = Pos,
+        /// `reference_ns_per_pair / kernel_ns_per_pair`.
+        pub speedup: f64 = Pos,
+        /// Pairs in the corpus.
+        pub pairs: usize = Int(1),
+        /// Whether kernel and reference produced identical outputs on
+        /// every pair (checked exactly, bit-level for floats).
+        pub outputs_match: bool = True,
+        /// True when the kernel was slower than the reference by more
+        /// than the [`REGRESSION_BAND`] noise margin.
+        pub regression: bool = Bool,
+    }
 }
 
 /// Benchmark workload knobs.
@@ -115,29 +143,13 @@ pub struct CompileConfig {
     pub kernel_pairs: usize,
 }
 
-/// The bundled programs the benchmark exercises, close-link with its
-/// threshold fact.
-fn programs() -> [(&'static str, &'static str, Option<f64>); 3] {
-    [
-        ("control", CONTROL_PROGRAM, None),
-        ("close_link", CLOSELINK_PROGRAM, Some(CLOSELINK_THRESHOLD)),
-        ("generic_pipeline", GENERIC_PIPELINE_PROGRAM, None),
-    ]
-}
-
 /// Runs every bundled program with compilation on and off (planning on in
 /// both modes) at `cfg.threads`, returning one row per program.
 pub fn run_compile_bench(cfg: &CompileConfig) -> Vec<CompileProgramBench> {
-    let out = generate(&CompanyGraphConfig {
-        persons: cfg.persons,
-        companies: cfg.persons / 2,
-        seed: cfg.seed,
-        ..Default::default()
-    });
-    let g = CompanyGraph::new(out.graph);
+    let g = company_graph(cfg.persons, cfg.persons / 2, cfg.seed);
 
     let mut rows = Vec::new();
-    for (name, src, threshold) in programs() {
+    for (name, src, threshold) in PROGRAMS {
         let program = Program::parse(src).expect("bundled program parses");
         let mut compiled = Engine::new(&program).expect("bundled program compiles");
         compiled.options_mut().threads = cfg.threads;
@@ -149,7 +161,7 @@ pub fn run_compile_bench(cfg: &CompileConfig) -> Vec<CompileProgramBench> {
         let (compiled_secs, interpreted_secs, stats, db_c, db_i) =
             timed_pair(&compiled, &interpreted, &g, threshold, cfg.repeats);
 
-        let outputs_match = db_snapshot(&db_c) == db_snapshot(&db_i);
+        let outputs_match = tuple_image(&db_c) == tuple_image(&db_i);
         let speedup = interpreted_secs / compiled_secs.max(1e-12);
         rows.push(CompileProgramBench {
             name,
@@ -258,7 +270,8 @@ pub fn run_kernel_bench(cfg: &CompileConfig) -> Vec<KernelBench> {
             distance::reference::jaro_winkler as fn(&str, &str) -> f64,
         ),
     ] {
-        // Warm both paths, then interleave timed passes.
+        // Warm both paths, then time every kernel pass before every
+        // reference pass.
         let _ = time_over(&corpus, 1, kernel);
         let _ = time_over(&corpus, 1, reference);
         let (kernel_ns, ksum) = time_over(&corpus, cfg.repeats, kernel);
@@ -277,165 +290,18 @@ pub fn run_kernel_bench(cfg: &CompileConfig) -> Vec<KernelBench> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-/// Renders the compile benchmark document.
-pub fn render_compile_json(
-    cfg: &CompileConfig,
-    programs: &[CompileProgramBench],
-    kernels: &[KernelBench],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", esc(COMPILE_SCHEMA)));
-    s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
-    s.push_str(&format!("  \"kernel_pairs\": {},\n", cfg.kernel_pairs));
-    s.push_str("  \"programs\": [\n");
-    for (i, r) in programs.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", esc(r.name)));
-        s.push_str(&format!(
-            "      \"compiled_secs\": {},\n",
-            num(r.compiled_secs)
-        ));
-        s.push_str(&format!(
-            "      \"interpreted_secs\": {},\n",
-            num(r.interpreted_secs)
-        ));
-        s.push_str(&format!("      \"speedup\": {},\n", num(r.speedup)));
-        s.push_str(&format!("      \"facts_derived\": {},\n", r.facts_derived));
-        s.push_str(&format!("      \"rounds\": {},\n", r.rounds));
-        s.push_str(&format!("      \"outputs_match\": {},\n", r.outputs_match));
-        s.push_str(&format!("      \"regression\": {}\n", r.regression));
-        s.push_str(if i + 1 == programs.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", esc(k.name)));
-        s.push_str(&format!(
-            "      \"kernel_ns_per_pair\": {},\n",
-            num(k.kernel_ns_per_pair)
-        ));
-        s.push_str(&format!(
-            "      \"reference_ns_per_pair\": {},\n",
-            num(k.reference_ns_per_pair)
-        ));
-        s.push_str(&format!("      \"speedup\": {},\n", num(k.speedup)));
-        s.push_str(&format!("      \"pairs\": {},\n", k.pairs));
-        s.push_str(&format!("      \"outputs_match\": {},\n", k.outputs_match));
-        s.push_str(&format!("      \"regression\": {}\n", k.regression));
-        s.push_str(if i + 1 == kernels.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-// ---------------------------------------------------------------------------
-// Validator
-// ---------------------------------------------------------------------------
-
-/// Shared row checks: positive timings, matched outputs, regression flag
-/// agreeing with the measured speedup — and rejecting any row that is
-/// genuinely flagged, since a regressed compiled path invalidates the
-/// artifact's claim.
-fn check_row(
-    p: &JVal,
-    ctx: &dyn Fn(String) -> String,
-    time_fields: [&str; 2],
-) -> Result<(), String> {
-    let name = match p.get("name") {
-        Some(JVal::Str(s)) if !s.is_empty() => s.clone(),
-        _ => return Err(ctx("missing non-empty string field 'name'".into())),
-    };
-    for field in [time_fields[0], time_fields[1], "speedup"] {
-        let v = want_num(p, field).map_err(ctx)?;
-        if v <= 0.0 || v.is_nan() {
-            return Err(ctx(format!("field '{field}' must be > 0")));
-        }
-    }
-    match p.get("outputs_match") {
-        Some(JVal::Bool(true)) => {}
-        Some(JVal::Bool(false)) => {
-            return Err(ctx(format!(
-                "{name}: outputs_match is false — compiled path changed the result"
-            )))
-        }
-        _ => return Err(ctx("missing boolean field 'outputs_match'".into())),
-    }
-    match p.get("regression") {
-        Some(JVal::Bool(flagged)) => {
-            let speedup = want_num(p, "speedup").map_err(ctx)?;
-            if *flagged != (speedup < REGRESSION_BAND) {
-                return Err(ctx(format!(
-                    "field 'regression' ({flagged}) disagrees with speedup {speedup}"
-                )));
-            }
-            if *flagged {
-                return Err(ctx(format!(
-                    "{name}: compiled path slower than baseline \
-                     (speedup {speedup:.3} < {REGRESSION_BAND}) — regression flagged"
-                )));
-            }
-        }
-        _ => return Err(ctx("missing boolean field 'regression'".into())),
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_compile.json` document against the
-/// `vadalink-bench-compile/1` schema.
-pub fn validate_compile_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        COMPILE_SCHEMA,
-        &["persons", "seed", "threads", "repeats", "kernel_pairs"],
-    )?;
-    let programs = non_empty_array(&doc, "programs")?;
-    for (i, p) in programs.iter().enumerate() {
-        let ctx = |msg: String| format!("programs[{i}]: {msg}");
-        check_row(p, &ctx, ["compiled_secs", "interpreted_secs"])?;
-        for field in ["facts_derived", "rounds"] {
-            let v = want_num(p, field).map_err(ctx)?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(ctx(format!(
-                    "field '{field}' must be a non-negative integer"
-                )));
-            }
-        }
-    }
-    let kernels = match doc.get("kernels") {
-        Some(JVal::Arr(items)) => items,
-        Some(_) => return Err("field 'kernels' must be an array".into()),
-        None => return Err("missing field 'kernels'".into()),
-    };
-    if kernels.is_empty() {
-        return Err("'kernels' must not be empty".into());
-    }
-    for (i, k) in kernels.iter().enumerate() {
-        let ctx = |msg: String| format!("kernels[{i}]: {msg}");
-        check_row(k, &ctx, ["kernel_ns_per_pair", "reference_ns_per_pair"])?;
-        let pairs = want_num(k, "pairs").map_err(ctx)?;
-        if pairs < 1.0 || pairs.fract() != 0.0 {
-            return Err(ctx("field 'pairs' must be a positive integer".into()));
-        }
-    }
-    Ok(())
+/// The `BENCH_compile.json` document of a run.
+pub fn doc(cfg: &CompileConfig, programs: &[CompileProgramBench], kernels: &[KernelBench]) -> Json {
+    SCHEMA.doc(
+        cells![
+            cfg.persons,
+            cfg.seed,
+            cfg.threads,
+            cfg.repeats,
+            cfg.kernel_pairs
+        ],
+        vec![array(programs), array(kernels)],
+    )
 }
 
 #[cfg(test)]
@@ -477,26 +343,19 @@ mod tests {
         }]
     }
 
-    #[test]
-    fn writer_output_validates() {
-        let text = render_compile_json(&sample_cfg(), &sample_programs(), &sample_kernels());
-        validate_compile_json(&text).expect("writer output must satisfy the schema");
+    fn render(programs: &[CompileProgramBench], kernels: &[KernelBench]) -> String {
+        SCHEMA.render(&doc(&sample_cfg(), programs, kernels))
     }
 
     #[test]
-    fn validator_rejects_broken_documents() {
-        let good = render_compile_json(&sample_cfg(), &sample_programs(), &sample_kernels());
-        assert!(validate_compile_json("not json").is_err());
-        let bad = good.replace(COMPILE_SCHEMA, "something-else/9");
-        assert!(validate_compile_json(&bad).is_err());
-        let bad = good.replace("\"compiled_secs\"", "\"compile_secs\"");
-        assert!(validate_compile_json(&bad).is_err());
-        // A divergent compiled run is a hard failure, program or kernel.
-        let bad = good.replacen("\"outputs_match\": true", "\"outputs_match\": false", 1);
-        assert!(validate_compile_json(&bad).is_err());
+    fn regressions_are_rejected() {
+        let good = render(&sample_programs(), &sample_kernels());
+        SCHEMA
+            .validate(&good)
+            .expect("writer output must satisfy the schema");
         // Regression flag contradicting the speedup is a hard failure.
         let bad = good.replacen("\"regression\": false", "\"regression\": true", 1);
-        assert!(validate_compile_json(&bad).is_err());
+        assert!(SCHEMA.validate(&bad).is_err());
         // So is a *consistent* regression (speedup below 1.0, flagged):
         // unlike BENCH_datalog.json, a regressed compiled row does not
         // merely warn — the document is rejected.
@@ -504,21 +363,19 @@ mod tests {
         regressed[0].compiled_secs = 2.0;
         regressed[0].speedup = 0.5;
         regressed[0].regression = true;
-        let bad = render_compile_json(&sample_cfg(), &regressed, &sample_kernels());
-        let err = validate_compile_json(&bad).expect_err("regressed row must be rejected");
+        let bad = render(&regressed, &sample_kernels());
+        let err = SCHEMA
+            .validate(&bad)
+            .expect_err("regressed row must be rejected");
         assert!(err.contains("regression"), "unexpected error: {err}");
         // Same contract for kernel rows.
         let mut slow_kernel = sample_kernels();
         slow_kernel[0].kernel_ns_per_pair = 400.0;
         slow_kernel[0].speedup = 0.5;
         slow_kernel[0].regression = true;
-        let bad = render_compile_json(&sample_cfg(), &sample_programs(), &slow_kernel);
-        assert!(validate_compile_json(&bad).is_err());
-        // Empty sections are schema violations.
-        let bad = render_compile_json(&sample_cfg(), &[], &sample_kernels());
-        assert!(validate_compile_json(&bad).is_err());
-        let bad = render_compile_json(&sample_cfg(), &sample_programs(), &[]);
-        assert!(validate_compile_json(&bad).is_err());
+        assert!(SCHEMA
+            .validate(&render(&sample_programs(), &slow_kernel))
+            .is_err());
     }
 
     #[test]
@@ -568,7 +425,9 @@ mod tests {
             k.speedup = k.speedup.max(1.0);
             k.regression = false;
         }
-        let text = render_compile_json(&cfg, &programs, &kernels);
-        validate_compile_json(&text).expect("real bench output must validate");
+        let text = SCHEMA.render(&doc(&cfg, &programs, &kernels));
+        SCHEMA
+            .validate(&text)
+            .expect("real bench output must validate");
     }
 }

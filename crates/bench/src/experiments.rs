@@ -435,10 +435,9 @@ pub fn exp_thread_scaling(
     thread_counts: &[usize],
     seed: u64,
 ) -> Vec<ThreadScalingRow> {
-    use datalog::{Database, Engine, EngineOptions, Program};
+    use datalog::{Engine, EngineOptions, Program};
     use embed::{generate_walks, train_sgns, SgnsConfig, WalkConfig};
     use linkage::{jaro_winkler, score_blocks, FeatureBlocker};
-    use vada_link::mapping::load_facts;
 
     let g = generate_ba(&BaConfig::with_density(
         nodes,
@@ -511,8 +510,7 @@ pub fn exp_thread_scaling(
             ..EngineOptions::default()
         };
         let engine = Engine::with(&program, Default::default(), options).expect("compiles");
-        let mut db = Database::new();
-        load_facts(&cg, &mut db);
+        let mut db = crate::workload::fresh_db(&cg, None);
         for n in cg.graph().node_ids() {
             let s = vada_link::mapping::sym_of(&mut db, n);
             db.assert_fact("node", &[s]).expect("arity");

@@ -25,25 +25,30 @@
 //! bit-identical to the maintained state (the same discipline the
 //! incremental differential tests use).
 //!
-//! The JSON artifact (`BENCH_incr.json`, schema `vadalink-bench-incr/1`)
-//! reuses the writer/validator discipline of [`crate::bench_json`]: the
-//! document is validated right after it is rendered, in-process.
+//! The JSON artifact is `BENCH_incr.json` ([`SCHEMA`],
+//! `vadalink-bench-incr/1`).
 
 use std::time::Instant;
 
 use datalog::{Const, Database, Engine, IncrementalEngine, Program, Update};
-use gen::company::{generate, CompanyGraphConfig};
-use vada_link::mapping::load_facts;
-use vada_link::model::CompanyGraph;
 use vada_link::programs::CLOSELINK_PROGRAM;
 
-use crate::bench_json::{check_doc_header, esc, non_empty_array, num, want_num, JVal};
+use crate::artifact::{array, cells, row, Check::*, Json, Row, Schema, Section};
+use crate::workload::{company_graph, fresh_db, set_image, CLOSELINK_THRESHOLD};
 
-/// Schema tag of the incremental benchmark document.
-pub const INCR_SCHEMA: &str = "vadalink-bench-incr/1";
-
-/// Close-link threshold (the paper's default).
-const THRESHOLD: f64 = 0.2;
+/// The `BENCH_incr.json` format.
+pub const SCHEMA: Schema = Schema {
+    tag: "vadalink-bench-incr/1",
+    file: "BENCH_incr.json",
+    header: &[
+        ("persons", Int(1)),
+        ("seed", Int(1)),
+        ("threads", Int(1)),
+        ("repeats", Int(1)),
+    ],
+    sections: &[Section::Rows("batches", IncrBench::FIELDS)],
+    rule: |_| Ok(()),
+};
 
 /// Workload knobs.
 #[derive(Debug, Clone)]
@@ -60,43 +65,26 @@ pub struct IncrConfig {
     pub batches: Vec<usize>,
 }
 
-/// Measurements for one update batch size.
-#[derive(Debug, Clone)]
-pub struct IncrBench {
-    /// Ownership edges modified per update.
-    pub batch: usize,
-    /// Best-of-`repeats` incremental propagation wall time.
-    pub update_secs: f64,
-    /// Best-of-`repeats` full fixpoint wall time on the post-update facts.
-    pub full_secs: f64,
-    /// `full_secs / update_secs` — what maintenance buys.
-    pub speedup: f64,
-    /// Net facts changed by the update (inserted + deleted, base and
-    /// derived).
-    pub changed_facts: usize,
-    /// Whether the maintained database is set-identical to the
-    /// from-scratch fixpoint on the post-update facts.
-    pub outputs_match: bool,
-}
-
-fn fresh_db(g: &CompanyGraph) -> Database {
-    let mut db = Database::new();
-    load_facts(g, &mut db);
-    db.assert_fact("th", &[Const::float(THRESHOLD)])
-        .expect("arity");
-    db
-}
-
-fn canonical_state(db: &Database) -> Vec<(String, Vec<String>)> {
-    let mut snap: Vec<(String, Vec<String>)> = (0..db.pred_count() as u32)
-        .map(|p| {
-            let name = db.pred_name(p).to_owned();
-            let rows = db.dump_canonical(&name);
-            (name, rows)
-        })
-        .collect();
-    snap.sort();
-    snap
+row! {
+    /// Measurements for one update batch size.
+    #[derive(Debug, Clone)]
+    pub struct IncrBench {
+        /// Ownership edges modified per update.
+        pub batch: usize = Int(1),
+        /// Best-of-`repeats` incremental propagation wall time.
+        pub update_secs: f64 = Pos,
+        /// Best-of-`repeats` full fixpoint wall time on the post-update
+        /// facts.
+        pub full_secs: f64 = Pos,
+        /// `full_secs / update_secs` — what maintenance buys.
+        pub speedup: f64 = Pos,
+        /// Net facts changed by the update (inserted + deleted, base and
+        /// derived).
+        pub changed_facts: usize = Int(0),
+        /// Whether the maintained database is set-identical to the
+        /// from-scratch fixpoint on the post-update facts.
+        pub outputs_match: bool = True,
+    }
 }
 
 /// Picks `k` `own` tuples spread evenly across the relation and pairs each
@@ -158,19 +146,14 @@ fn replay(db: &mut Database, u: &Update) {
 
 /// Runs the sweep, one row per batch size.
 pub fn run_incr_bench(cfg: &IncrConfig) -> Vec<IncrBench> {
-    let out = generate(&CompanyGraphConfig {
-        persons: cfg.persons,
-        companies: cfg.persons / 2,
-        seed: cfg.seed,
-        ..Default::default()
-    });
-    let g = CompanyGraph::new(out.graph);
+    let g = company_graph(cfg.persons, cfg.persons / 2, cfg.seed);
+    let threshold = Some(CLOSELINK_THRESHOLD);
     let program = Program::parse(CLOSELINK_PROGRAM).expect("bundled program parses");
 
     let mut engine = Engine::new(&program).expect("bundled program compiles");
     engine.options_mut().threads = cfg.threads;
     let mut session =
-        IncrementalEngine::with(engine, fresh_db(&g)).expect("session opens and runs");
+        IncrementalEngine::with(engine, fresh_db(&g, threshold)).expect("session opens and runs");
 
     // Pick every batch's edits against the pristine database: update
     // round-trips reorder relation rows, so picking lazily would make
@@ -213,7 +196,7 @@ pub fn run_incr_bench(cfg: &IncrConfig) -> Vec<IncrBench> {
         // Full-recompute baseline on the post-update extensional facts:
         // byte-faithful replay of the session's history, then the batch.
         let build_post = || {
-            let mut db = fresh_db(&g);
+            let mut db = fresh_db(&g, threshold);
             for u in &history {
                 replay(&mut db, u);
             }
@@ -235,8 +218,8 @@ pub fn run_incr_bench(cfg: &IncrConfig) -> Vec<IncrBench> {
 
         // Identity check: leave the update applied, compare, revert.
         apply(&mut session, &forward, &mut history);
-        let got = canonical_state(session.db());
-        let want = canonical_state(&post_db);
+        let got = set_image(session.db());
+        let want = set_image(&post_db);
         let outputs_match = got == want;
         if !outputs_match {
             for (g, w) in got.iter().zip(want.iter()) {
@@ -264,123 +247,17 @@ pub fn run_incr_bench(cfg: &IncrConfig) -> Vec<IncrBench> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// Writer + validator
-// ---------------------------------------------------------------------------
-
-/// Renders the `BENCH_incr.json` document.
-pub fn render_incr_json(cfg: &IncrConfig, rows: &[IncrBench]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", esc(INCR_SCHEMA)));
-    s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
-    s.push_str("  \"batches\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"batch\": {},\n", r.batch));
-        s.push_str(&format!("      \"update_secs\": {},\n", num(r.update_secs)));
-        s.push_str(&format!("      \"full_secs\": {},\n", num(r.full_secs)));
-        s.push_str(&format!("      \"speedup\": {},\n", num(r.speedup)));
-        s.push_str(&format!("      \"changed_facts\": {},\n", r.changed_facts));
-        s.push_str(&format!("      \"outputs_match\": {}\n", r.outputs_match));
-        s.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Validates a `BENCH_incr.json` document: schema tag, field presence and
-/// types, positive timings, and matched outputs on every row.
-pub fn validate_incr_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        INCR_SCHEMA,
-        &["persons", "seed", "threads", "repeats"],
-    )?;
-    let batches = non_empty_array(&doc, "batches")?;
-    for (i, b) in batches.iter().enumerate() {
-        let ctx = |msg: String| format!("batches[{i}]: {msg}");
-        let batch = want_num(b, "batch").map_err(&ctx)?;
-        if batch < 1.0 || batch.fract() != 0.0 {
-            return Err(ctx("field 'batch' must be a positive integer".into()));
-        }
-        for field in ["update_secs", "full_secs", "speedup"] {
-            let v = want_num(b, field).map_err(&ctx)?;
-            if v <= 0.0 || v.is_nan() {
-                return Err(ctx(format!("field '{field}' must be > 0")));
-            }
-        }
-        let changed = want_num(b, "changed_facts").map_err(&ctx)?;
-        if changed < 0.0 || changed.fract() != 0.0 {
-            return Err(ctx(
-                "field 'changed_facts' must be a non-negative integer".into()
-            ));
-        }
-        match b.get("outputs_match") {
-            Some(JVal::Bool(true)) => {}
-            Some(JVal::Bool(false)) => {
-                return Err(ctx(
-                    "outputs_match is false — maintenance diverged from recomputation".into(),
-                ))
-            }
-            _ => return Err(ctx("missing boolean field 'outputs_match'".into())),
-        }
-    }
-    Ok(())
+/// The `BENCH_incr.json` document of a run.
+pub fn doc(cfg: &IncrConfig, rows: &[IncrBench]) -> Json {
+    SCHEMA.doc(
+        cells![cfg.persons, cfg.seed, cfg.threads, cfg.repeats],
+        vec![array(rows)],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_cfg() -> IncrConfig {
-        IncrConfig {
-            persons: 100,
-            seed: 1,
-            threads: 1,
-            repeats: 1,
-            batches: vec![1, 8],
-        }
-    }
-
-    fn sample_rows() -> Vec<IncrBench> {
-        vec![IncrBench {
-            batch: 1,
-            update_secs: 0.001,
-            full_secs: 0.1,
-            speedup: 100.0,
-            changed_facts: 7,
-            outputs_match: true,
-        }]
-    }
-
-    #[test]
-    fn writer_output_validates() {
-        let text = render_incr_json(&sample_cfg(), &sample_rows());
-        validate_incr_json(&text).expect("writer output must satisfy the schema");
-    }
-
-    #[test]
-    fn validator_rejects_broken_documents() {
-        let good = render_incr_json(&sample_cfg(), &sample_rows());
-        assert!(validate_incr_json("not json").is_err());
-        let bad = good.replace(INCR_SCHEMA, "something-else/9");
-        assert!(validate_incr_json(&bad).is_err());
-        let bad = good.replace("\"speedup\"", "\"sped_up\"");
-        assert!(validate_incr_json(&bad).is_err());
-        let bad = good.replace("\"outputs_match\": true", "\"outputs_match\": false");
-        assert!(validate_incr_json(&bad).is_err());
-        let bad = render_incr_json(&sample_cfg(), &[]);
-        assert!(validate_incr_json(&bad).is_err());
-    }
 
     #[test]
     fn incr_bench_runs_end_to_end_on_a_tiny_graph() {
@@ -405,7 +282,9 @@ mod tests {
                 "an edit changes at least the base fact"
             );
         }
-        let text = render_incr_json(&cfg, &rows);
-        validate_incr_json(&text).expect("real bench output must validate");
+        let text = SCHEMA.render(&doc(&cfg, &rows));
+        SCHEMA
+            .validate(&text)
+            .expect("real bench output must validate");
     }
 }

@@ -15,12 +15,20 @@
 //!
 //! The `repro` binary drives them from the command line; the Criterion
 //! benches in `benches/` wrap representative points of each series.
+//!
+//! The engine's own measurements live in one `<x>_bench` module per
+//! `BENCH_<x>.json` artifact, each declaring its format as an
+//! [`artifact::Schema`] that the one writer and validator in [`artifact`]
+//! read; [`workload`] holds the graph, programs and identity lenses they
+//! share.
 
-pub mod bench_json;
+pub mod artifact;
 pub mod compile_bench;
+pub mod datalog_bench;
 pub mod experiments;
 pub mod incr_bench;
 pub mod magic_bench;
 pub mod serve_bench;
 pub mod store_bench;
 pub mod synth;
+pub mod workload;

@@ -10,51 +10,87 @@
 //! where a lookup failed to take the demanded path, diverged, or won by
 //! less than an integer factor (`win_factor < 2`).
 //!
-//! Same discipline as [`crate::bench_json`]: writer and validator are
-//! hand-rolled next to each other, and `repro` validates in-process before
-//! writing `BENCH_magic.json`.
+//! The JSON artifact is `BENCH_magic.json` ([`SCHEMA`],
+//! `vadalink-bench-magic/1`).
 
 use std::time::Instant;
 
-use datalog::{goal_matches, Database, Engine, Program, Query};
-use gen::company::{generate, CompanyGraphConfig};
-use vada_link::mapping::load_facts;
+use datalog::{goal_matches, Engine, Program, Query};
 use vada_link::model::CompanyGraph;
 use vada_link::programs::{CLOSELINK_PROGRAM, CONTROL_PROGRAM};
 
-use crate::bench_json::{check_doc_header, esc, non_empty_array, num, want_num, JVal};
+use crate::artifact::{array, cells, each_row, number, row, Check::*, Json, Row, Schema, Section};
+use crate::workload::{company_graph, fresh_db, CLOSELINK_THRESHOLD};
 
-/// Schema tag written into — and demanded from — every magic bench
-/// document.
-pub const MAGIC_SCHEMA: &str = "vadalink-bench-magic/1";
+/// The `BENCH_magic.json` format.
+pub const SCHEMA: Schema = Schema {
+    tag: "vadalink-bench-magic/1",
+    file: "BENCH_magic.json",
+    header: &[
+        ("persons", Int(1)),
+        ("seed", Int(1)),
+        ("threads", Int(1)),
+        ("repeats", Int(1)),
+    ],
+    sections: &[Section::Rows("lookups", MagicBench::FIELDS)],
+    rule,
+};
 
-/// Close-link threshold used for the benchmark run (the paper's default).
-const CLOSELINK_THRESHOLD: f64 = 0.2;
+/// Every lookup won by an integer factor (`2 <= win_factor <= speedup`)
+/// and derived no more facts than the full run.
+fn rule(doc: &Json) -> Result<(), String> {
+    each_row(doc, "lookups", |row| {
+        let speedup = number(row, "speedup");
+        let win = number(row, "win_factor");
+        if win < 2.0 {
+            return Err(format!(
+                "win_factor {win} < 2 — goal-directed evaluation must win \
+                 by an integer factor"
+            ));
+        }
+        if win > speedup {
+            return Err(format!(
+                "win_factor {win} exceeds the measured speedup {speedup}"
+            ));
+        }
+        let (qd, fd) = (number(row, "query_derived"), number(row, "full_derived"));
+        if qd > fd {
+            return Err(format!(
+                "demanded run derived more facts ({qd}) than the full run ({fd})"
+            ));
+        }
+        Ok(())
+    })
+}
 
-/// Measurements for one `(program, goal)` point lookup.
-#[derive(Debug, Clone)]
-pub struct MagicBench {
-    /// Program name (`control`, `close_link`).
-    pub name: &'static str,
-    /// The goal evaluated, e.g. `control("n42", X)?`.
-    pub goal: String,
-    /// Best-of-`repeats` wall time of the goal-directed path.
-    pub query_secs: f64,
-    /// Best-of-`repeats` wall time of full evaluation plus filtering.
-    pub full_secs: f64,
-    /// `full_secs / query_secs` — what demand restriction buys.
-    pub speedup: f64,
-    /// `floor(speedup)` — the integer-factor win the validator enforces.
-    pub win_factor: u64,
-    /// Number of matching answer rows (identical across paths).
-    pub answers: usize,
-    /// Facts derived by the demanded run vs the full run.
-    pub query_derived: usize,
-    pub full_derived: usize,
-    /// Whether the rewrite actually restricted evaluation (no fallback).
-    pub demanded: bool,
-    /// Whether both paths returned byte-identical canonical rows.
-    pub outputs_match: bool,
+row! {
+    /// Measurements for one `(program, goal)` point lookup.
+    #[derive(Debug, Clone)]
+    pub struct MagicBench {
+        /// Program name (`control`, `close_link`).
+        pub name: &'static str = Name,
+        /// The goal evaluated, e.g. `control("n42", X)?`.
+        pub goal: String = Name,
+        /// Best-of-`repeats` wall time of the goal-directed path.
+        pub query_secs: f64 = Pos,
+        /// Best-of-`repeats` wall time of full evaluation plus filtering.
+        pub full_secs: f64 = Pos,
+        /// `full_secs / query_secs` — what demand restriction buys.
+        pub speedup: f64 = Pos,
+        /// `floor(speedup)` — the integer-factor win the validator
+        /// enforces.
+        pub win_factor: u64 = Int(0),
+        /// Number of matching answer rows (identical across paths).
+        pub answers: usize = Int(0),
+        /// Facts derived by the demanded run vs the full run.
+        pub query_derived: usize = Int(0),
+        pub full_derived: usize = Int(0),
+        /// Whether the rewrite actually restricted evaluation (no
+        /// fallback).
+        pub demanded: bool = True,
+        /// Whether both paths returned byte-identical canonical rows.
+        pub outputs_match: bool = True,
+    }
 }
 
 /// Benchmark workload knobs.
@@ -76,16 +112,6 @@ pub struct MagicConfig {
     pub goals_per_program: usize,
 }
 
-fn fresh_db(g: &CompanyGraph, threshold: Option<f64>) -> Database {
-    let mut db = Database::new();
-    load_facts(g, &mut db);
-    if let Some(t) = threshold {
-        db.assert_fact("th", &[datalog::Const::float(t)])
-            .expect("arity");
-    }
-    db
-}
-
 /// Company symbols spread across the id range, one per requested goal.
 fn sources(g: &CompanyGraph, n: usize) -> Vec<String> {
     let all: Vec<String> = g.companies().map(|c| format!("n{}", c.index())).collect();
@@ -98,13 +124,7 @@ fn sources(g: &CompanyGraph, n: usize) -> Vec<String> {
 /// Runs the point-lookup sweep: for each program and source company, time
 /// the goal-directed path against full evaluation of the same goal.
 pub fn run_magic_bench(cfg: &MagicConfig) -> Vec<MagicBench> {
-    let out = generate(&CompanyGraphConfig {
-        persons: cfg.persons,
-        companies: cfg.persons,
-        seed: cfg.seed,
-        ..Default::default()
-    });
-    let g = CompanyGraph::new(out.graph);
+    let g = company_graph(cfg.persons, cfg.persons, cfg.seed);
 
     let programs: [(&str, &str, &str, Option<f64>); 2] = [
         ("control", CONTROL_PROGRAM, "control", None),
@@ -172,123 +192,12 @@ pub fn run_magic_bench(cfg: &MagicConfig) -> Vec<MagicBench> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-/// Renders the benchmark document.
-pub fn render_magic_json(cfg: &MagicConfig, rows: &[MagicBench]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", esc(MAGIC_SCHEMA)));
-    s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
-    s.push_str("  \"lookups\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", esc(r.name)));
-        s.push_str(&format!("      \"goal\": \"{}\",\n", esc(&r.goal)));
-        s.push_str(&format!("      \"query_secs\": {},\n", num(r.query_secs)));
-        s.push_str(&format!("      \"full_secs\": {},\n", num(r.full_secs)));
-        s.push_str(&format!("      \"speedup\": {},\n", num(r.speedup)));
-        s.push_str(&format!("      \"win_factor\": {},\n", r.win_factor));
-        s.push_str(&format!("      \"answers\": {},\n", r.answers));
-        s.push_str(&format!("      \"query_derived\": {},\n", r.query_derived));
-        s.push_str(&format!("      \"full_derived\": {},\n", r.full_derived));
-        s.push_str(&format!("      \"demanded\": {},\n", r.demanded));
-        s.push_str(&format!("      \"outputs_match\": {}\n", r.outputs_match));
-        s.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-// ---------------------------------------------------------------------------
-// Validator
-// ---------------------------------------------------------------------------
-
-/// Validates a `BENCH_magic.json` document against the
-/// `vadalink-bench-magic/1` schema: field presence, types, and the
-/// substantive invariants — every lookup took the demanded path, returned
-/// rows byte-identical to full evaluation, derived no more facts than the
-/// full run, and won by at least an integer factor (`win_factor >= 2`,
-/// consistent with the measured ratio).
-pub fn validate_magic_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        MAGIC_SCHEMA,
-        &["persons", "seed", "threads", "repeats"],
-    )?;
-    let lookups = non_empty_array(&doc, "lookups")?;
-    for (i, p) in lookups.iter().enumerate() {
-        let ctx = |msg: String| format!("lookups[{i}]: {msg}");
-        for field in ["name", "goal"] {
-            match p.get(field) {
-                Some(JVal::Str(s)) if !s.is_empty() => {}
-                _ => return Err(ctx(format!("missing non-empty string field '{field}'"))),
-            }
-        }
-        for field in ["query_secs", "full_secs", "speedup"] {
-            let v = want_num(p, field).map_err(&ctx)?;
-            if v <= 0.0 || v.is_nan() {
-                return Err(ctx(format!("field '{field}' must be > 0")));
-            }
-        }
-        for field in ["win_factor", "answers", "query_derived", "full_derived"] {
-            let v = want_num(p, field).map_err(&ctx)?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(ctx(format!(
-                    "field '{field}' must be a non-negative integer"
-                )));
-            }
-        }
-        let speedup = want_num(p, "speedup").map_err(&ctx)?;
-        let win = want_num(p, "win_factor").map_err(&ctx)?;
-        if win < 2.0 {
-            return Err(ctx(format!(
-                "win_factor {win} < 2 — goal-directed evaluation must win \
-                 by an integer factor"
-            )));
-        }
-        if win > speedup {
-            return Err(ctx(format!(
-                "win_factor {win} exceeds the measured speedup {speedup}"
-            )));
-        }
-        let qd = want_num(p, "query_derived").map_err(&ctx)?;
-        let fd = want_num(p, "full_derived").map_err(&ctx)?;
-        if qd > fd {
-            return Err(ctx(format!(
-                "demanded run derived more facts ({qd}) than the full run ({fd})"
-            )));
-        }
-        match p.get("demanded") {
-            Some(JVal::Bool(true)) => {}
-            Some(JVal::Bool(false)) => {
-                return Err(ctx("demanded is false — the lookup fell back to \
-                                full evaluation"
-                    .into()))
-            }
-            _ => return Err(ctx("missing boolean field 'demanded'".into())),
-        }
-        match p.get("outputs_match") {
-            Some(JVal::Bool(true)) => {}
-            Some(JVal::Bool(false)) => {
-                return Err(ctx(
-                    "outputs_match is false — goal-directed answers diverged".into(),
-                ))
-            }
-            _ => return Err(ctx("missing boolean field 'outputs_match'".into())),
-        }
-    }
-    Ok(())
+/// The `BENCH_magic.json` document of a run.
+pub fn doc(cfg: &MagicConfig, rows: &[MagicBench]) -> Json {
+    SCHEMA.doc(
+        cells![cfg.persons, cfg.seed, cfg.threads, cfg.repeats],
+        vec![array(rows)],
+    )
 }
 
 #[cfg(test)]
@@ -322,31 +231,20 @@ mod tests {
     }
 
     #[test]
-    fn writer_output_validates() {
-        let text = render_magic_json(&sample_cfg(), &sample_rows());
-        validate_magic_json(&text).expect("writer output must satisfy the schema");
-    }
-
-    #[test]
-    fn validator_rejects_broken_documents() {
-        let good = render_magic_json(&sample_cfg(), &sample_rows());
-        assert!(validate_magic_json("not json").is_err());
-        let bad = good.replace(MAGIC_SCHEMA, "something-else/9");
-        assert!(validate_magic_json(&bad).is_err());
+    fn win_factor_and_derivation_rules_are_enforced() {
+        let good = SCHEMA.render(&doc(&sample_cfg(), &sample_rows()));
+        SCHEMA
+            .validate(&good)
+            .expect("writer output must satisfy the schema");
         // A sub-integer win is a failure, not a data point.
         let bad = good.replace("\"win_factor\": 12", "\"win_factor\": 1");
-        assert!(validate_magic_json(&bad).is_err());
+        assert!(SCHEMA.validate(&bad).is_err());
         // A claimed factor above the measured ratio is inconsistent.
         let bad = good.replace("\"win_factor\": 12", "\"win_factor\": 13");
-        assert!(validate_magic_json(&bad).is_err());
-        // Fallbacks and divergence fail loudly.
-        let bad = good.replace("\"demanded\": true", "\"demanded\": false");
-        assert!(validate_magic_json(&bad).is_err());
-        let bad = good.replace("\"outputs_match\": true", "\"outputs_match\": false");
-        assert!(validate_magic_json(&bad).is_err());
+        assert!(SCHEMA.validate(&bad).is_err());
         // The demanded run may never derive more than the full run.
         let bad = good.replace("\"query_derived\": 40", "\"query_derived\": 5000");
-        assert!(validate_magic_json(&bad).is_err());
+        assert!(SCHEMA.validate(&bad).is_err());
     }
 
     #[test]

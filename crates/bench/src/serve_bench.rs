@@ -15,27 +15,65 @@
 //!
 //! Per mix the harness reports sustained throughput (qps), latency
 //! percentiles (p50/p99) and the epoch-swap stall (the commit critical
-//! section every reader shares). `repro --exp serve --bench-json` renders
-//! the result as `BENCH_serve.json` (schema `vadalink-bench-serve/1`),
-//! validated in-process before it is written.
+//! section every reader shares). `repro --exp serve --bench-json` writes
+//! the result as `BENCH_serve.json` ([`SCHEMA`], `vadalink-bench-serve/1`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use datalog::{Database, Program};
+use datalog::Program;
 use gen::company::{generate, CompanyGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serve::{Client, GraphService, Server, ServiceConfig};
-use vada_link::mapping::load_facts;
 use vada_link::model::CompanyGraph;
 use vada_link::programs::CONTROL_PROGRAM;
 
-use crate::bench_json::{check_doc_header, esc, non_empty_array, num, want_num, JVal};
+use crate::artifact::{
+    array, cells, each_row, number, row, rows, Check::*, Json, Row, Schema, Section,
+};
+use crate::workload::fresh_db;
 
-/// Schema tag of the serving benchmark document.
-pub const SERVE_SCHEMA: &str = "vadalink-bench-serve/1";
+/// The `BENCH_serve.json` format.
+pub const SCHEMA: Schema = Schema {
+    tag: "vadalink-bench-serve/1",
+    file: "BENCH_serve.json",
+    header: &[
+        ("persons", Int(1)),
+        ("seed", Int(1)),
+        ("threads", Int(1)),
+        ("ops_per_reader", Int(1)),
+        ("zipf_s", Range(0.0, 10.0)),
+        ("workload", OneOf(&["closed", "open"])),
+    ],
+    sections: &[Section::Rows("mixes", ServeBench::FIELDS)],
+    rule,
+};
+
+/// At least two mixes, ordered percentiles, and at least one writer mix,
+/// every one of which committed an update.
+fn rule(doc: &Json) -> Result<(), String> {
+    let mixes = rows(doc, "mixes");
+    if mixes.len() < 2 {
+        return Err("'mixes' must hold at least two reader/writer mixes".into());
+    }
+    if !mixes.iter().any(|m| number(m, "writers") > 0.0) {
+        return Err("at least one mix must include writers".into());
+    }
+    each_row(doc, "mixes", |m| {
+        let (p50, p99) = (number(m, "p50_us"), number(m, "p99_us"));
+        if p99 < p50 {
+            return Err(format!(
+                "latency percentiles must satisfy 0 < p50 <= p99 (p50={p50}, p99={p99})"
+            ));
+        }
+        if number(m, "writers") > 0.0 && number(m, "updates") < 1.0 {
+            return Err("a writer mix must commit at least one update".into());
+        }
+        Ok(())
+    })
+}
 
 /// Reader arrival model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,27 +122,29 @@ pub struct ServeBenchConfig {
     pub mixes: Vec<Mix>,
 }
 
-/// Measurements for one mix.
-#[derive(Debug, Clone)]
-pub struct ServeBench {
-    pub readers: usize,
-    pub writers: usize,
-    /// Total lookups answered.
-    pub ops: usize,
-    /// Wall time of the mix, seconds.
-    pub wall_secs: f64,
-    /// Sustained lookups per second.
-    pub qps: f64,
-    /// Median lookup latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile lookup latency, microseconds.
-    pub p99_us: f64,
-    /// Update batches committed while the mix ran.
-    pub updates: usize,
-    /// Epochs committed over the server's lifetime so far.
-    pub epochs_committed: u64,
-    /// Longest single epoch-swap critical section, nanoseconds.
-    pub swap_stall_max_ns: u64,
+row! {
+    /// Measurements for one mix.
+    #[derive(Debug, Clone)]
+    pub struct ServeBench {
+        pub readers: usize = Int(1),
+        pub writers: usize = Int(0),
+        /// Total lookups answered.
+        pub ops: usize = Int(1),
+        /// Wall time of the mix, seconds.
+        pub wall_secs: f64 = Pos,
+        /// Sustained lookups per second.
+        pub qps: f64 = Pos,
+        /// Median lookup latency, microseconds.
+        pub p50_us: f64 = Pos,
+        /// 99th-percentile lookup latency, microseconds.
+        pub p99_us: f64 = Pos,
+        /// Update batches committed while the mix ran.
+        pub updates: usize = Int(0),
+        /// Epochs committed over the server's lifetime so far.
+        pub epochs_committed: u64 = Int(0),
+        /// Longest single epoch-swap critical section, nanoseconds.
+        pub swap_stall_max_ns: u64 = Int(0),
+    }
 }
 
 /// Zipfian sampler over ranks `0..n` via an explicit CDF (the `gen`
@@ -186,9 +226,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Vec<ServeBench> {
             .map(|n| format!("n{}", n.index()))
             .collect(),
     );
-    let g = CompanyGraph::new(out.graph);
-    let mut db = Database::new();
-    load_facts(&g, &mut db);
+    let db = fresh_db(&CompanyGraph::new(out.graph), None);
     let program = Program::parse(CONTROL_PROGRAM).expect("bundled program parses");
     let svc = Arc::new(
         GraphService::new(
@@ -299,117 +337,17 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Vec<ServeBench> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// Writer + validator
-// ---------------------------------------------------------------------------
-
-/// Renders the serving benchmark document.
-pub fn render_serve_json(cfg: &ServeBenchConfig, rows: &[ServeBench]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", esc(SERVE_SCHEMA)));
-    s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"ops_per_reader\": {},\n", cfg.ops_per_reader));
-    s.push_str(&format!("  \"zipf_s\": {},\n", num(cfg.zipf_s)));
-    s.push_str(&format!(
-        "  \"workload\": \"{}\",\n",
-        esc(cfg.workload.name())
-    ));
-    s.push_str("  \"mixes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"readers\": {},\n", r.readers));
-        s.push_str(&format!("      \"writers\": {},\n", r.writers));
-        s.push_str(&format!("      \"ops\": {},\n", r.ops));
-        s.push_str(&format!("      \"wall_secs\": {},\n", num(r.wall_secs)));
-        s.push_str(&format!("      \"qps\": {},\n", num(r.qps)));
-        s.push_str(&format!("      \"p50_us\": {},\n", num(r.p50_us)));
-        s.push_str(&format!("      \"p99_us\": {},\n", num(r.p99_us)));
-        s.push_str(&format!("      \"updates\": {},\n", r.updates));
-        s.push_str(&format!(
-            "      \"epochs_committed\": {},\n",
-            r.epochs_committed
-        ));
-        s.push_str(&format!(
-            "      \"swap_stall_max_ns\": {}\n",
-            r.swap_stall_max_ns
-        ));
-        s.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Validates a `BENCH_serve.json` document against the
-/// `vadalink-bench-serve/1` schema: field presence, types, at least two
-/// reader/writer mixes, positive throughput and ordered percentiles.
-pub fn validate_serve_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        SERVE_SCHEMA,
-        &["persons", "seed", "threads", "ops_per_reader"],
-    )?;
-    let z = want_num(&doc, "zipf_s")?;
-    if !(0.0..=10.0).contains(&z) {
-        return Err("field 'zipf_s' out of range".into());
-    }
-    match doc.get("workload") {
-        Some(JVal::Str(s)) if s == "closed" || s == "open" => {}
-        _ => return Err("field 'workload' must be \"closed\" or \"open\"".into()),
-    }
-    let mixes = non_empty_array(&doc, "mixes")?;
-    if mixes.len() < 2 {
-        return Err("'mixes' must hold at least two reader/writer mixes".into());
-    }
-    let mut saw_writer_mix = false;
-    for (i, m) in mixes.iter().enumerate() {
-        let ctx = |msg: String| format!("mixes[{i}]: {msg}");
-        let readers = want_num(m, "readers").map_err(&ctx)?;
-        if readers < 1.0 || readers.fract() != 0.0 {
-            return Err(ctx("'readers' must be a positive integer".into()));
-        }
-        let writers = want_num(m, "writers").map_err(&ctx)?;
-        if writers < 0.0 || writers.fract() != 0.0 {
-            return Err(ctx("'writers' must be a non-negative integer".into()));
-        }
-        saw_writer_mix |= writers > 0.0;
-        for field in ["ops", "wall_secs", "qps"] {
-            let v = want_num(m, field).map_err(&ctx)?;
-            if v <= 0.0 || v.is_nan() {
-                return Err(ctx(format!("field '{field}' must be > 0")));
-            }
-        }
-        let p50 = want_num(m, "p50_us").map_err(&ctx)?;
-        let p99 = want_num(m, "p99_us").map_err(&ctx)?;
-        if p50 <= 0.0 || p99 < p50 {
-            return Err(ctx(format!(
-                "latency percentiles must satisfy 0 < p50 <= p99 (p50={p50}, p99={p99})"
-            )));
-        }
-        for field in ["updates", "epochs_committed", "swap_stall_max_ns"] {
-            let v = want_num(m, field).map_err(&ctx)?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(ctx(format!(
-                    "field '{field}' must be a non-negative integer"
-                )));
-            }
-        }
-        let updates = want_num(m, "updates").map_err(&ctx)?;
-        if writers > 0.0 && updates < 1.0 {
-            return Err(ctx("a writer mix must commit at least one update".into()));
-        }
-    }
-    if !saw_writer_mix {
-        return Err("at least one mix must include writers".into());
-    }
-    Ok(())
+/// The `BENCH_serve.json` document of a run.
+pub fn doc(cfg: &ServeBenchConfig, rows: &[ServeBench]) -> Json {
+    let header = cells![
+        cfg.persons,
+        cfg.seed,
+        cfg.threads,
+        cfg.ops_per_reader,
+        cfg.zipf_s,
+        cfg.workload.name(),
+    ];
+    SCHEMA.doc(header, vec![array(rows)])
 }
 
 #[cfg(test)]
@@ -463,8 +401,10 @@ mod tests {
         assert_eq!(rows[0].updates, 0, "read-only mix commits nothing");
         assert!(rows[1].updates >= 1, "writer mix must commit");
         assert!(rows[1].epochs_committed > rows[0].epochs_committed);
-        let text = render_serve_json(&cfg, &rows);
-        validate_serve_json(&text).expect("real bench output must validate");
+        let text = SCHEMA.render(&doc(&cfg, &rows));
+        SCHEMA
+            .validate(&text)
+            .expect("real bench output must validate");
     }
 
     #[test]
@@ -500,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_broken_documents() {
+    fn mix_rules_are_enforced() {
         let cfg = tiny_cfg();
         let rows = vec![
             ServeBench {
@@ -528,19 +468,20 @@ mod tests {
                 swap_stall_max_ns: 4000,
             },
         ];
-        let good = render_serve_json(&cfg, &rows);
-        validate_serve_json(&good).expect("fixture must validate");
-        assert!(validate_serve_json("not json").is_err());
-        assert!(validate_serve_json(&good.replace(SERVE_SCHEMA, "x/9")).is_err());
-        assert!(validate_serve_json(&good.replace("\"qps\"", "\"q\"")).is_err());
+        let good = SCHEMA.render(&doc(&cfg, &rows));
+        SCHEMA.validate(&good).expect("fixture must validate");
         // Percentile ordering is enforced.
         let bad = good.replace("\"p99_us\": 900.000000", "\"p99_us\": 1.000000");
-        assert!(validate_serve_json(&bad).is_err());
+        assert!(SCHEMA.validate(&bad).is_err());
         // A single mix is not a sweep.
-        let single = render_serve_json(&cfg, &rows[1..]);
-        assert!(validate_serve_json(&single).is_err());
+        let single = SCHEMA.render(&doc(&cfg, &rows[1..]));
+        assert!(SCHEMA.validate(&single).is_err());
         // Writer mixes must actually commit.
         let bad = good.replace("\"updates\": 12", "\"updates\": 0");
-        assert!(validate_serve_json(&bad).is_err());
+        assert!(SCHEMA.validate(&bad).is_err());
+        // A sweep without a writer mix says nothing about epoch swaps.
+        let bad = good.replace("\"writers\": 1", "\"writers\": 0");
+        let bad = bad.replace("\"updates\": 12", "\"updates\": 0");
+        assert!(SCHEMA.validate(&bad).is_err());
     }
 }

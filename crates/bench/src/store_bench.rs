@@ -15,24 +15,35 @@
 //!   loaded, evaluated with a plain [`Engine::run`], snapshotted and
 //!   recovered, with the approximate heap footprint recorded.
 //!
-//! The JSON artifact (`BENCH_store.json`, schema `vadalink-bench-store/2`)
-//! follows the writer/validator discipline of [`crate::bench_json`]: the
-//! document is validated in-process right after it is rendered.
+//! The JSON artifact is `BENCH_store.json` ([`SCHEMA`],
+//! `vadalink-bench-store/2`).
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use datalog::{Database, Engine, EngineOptions, FunctionRegistry, IncrementalEngine, Program};
-use gen::company::{generate, CompanyGraphConfig};
 use store::{replay_tail, DurableStore, FsyncPolicy, StoreConfig};
-use vada_link::mapping::load_facts;
-use vada_link::model::CompanyGraph;
 use vada_link::programs::CONTROL_PROGRAM;
 
-use crate::bench_json::{check_doc_header, esc, non_empty_array, num, want_num, JVal};
+use crate::artifact::{array, cells, object, row, Check::*, Json, Row, Schema, Section};
+use crate::workload::{company_graph, fresh_db, set_image};
 
-/// Schema tag of the durable-store benchmark document.
-pub const STORE_SCHEMA: &str = "vadalink-bench-store/2";
+/// The `BENCH_store.json` format.
+pub const SCHEMA: Schema = Schema {
+    tag: "vadalink-bench-store/2",
+    file: "BENCH_store.json",
+    header: &[
+        ("persons", Int(1)),
+        ("seed", Int(1)),
+        ("threads", Int(1)),
+        ("updates", Int(1)),
+    ],
+    sections: &[
+        Section::Rows("recovery", RecoveryRow::FIELDS),
+        Section::Object("register", RegisterRow::FIELDS),
+    ],
+    rule: |_| Ok(()),
+};
 
 /// Workload knobs.
 #[derive(Debug, Clone)]
@@ -51,37 +62,42 @@ pub struct StoreBenchConfig {
     pub register_persons: usize,
 }
 
-/// One recovery-cadence row.
-#[derive(Debug, Clone)]
-pub struct RecoveryRow {
-    /// `snapshot_every` setting (0 = boot snapshot + full WAL replay).
-    pub cadence: u64,
-    /// Committed update batches before the simulated crash.
-    pub commits: usize,
-    /// Wall time of open + snapshot load + session rebuild + tail replay.
-    pub recovery_secs: f64,
-    /// Snapshots written during the run (boot snapshot included).
-    pub snapshots_written: usize,
-    /// WAL frames replayed on recovery.
-    pub wal_tail_frames: usize,
-    /// Canonical identity against the pre-crash maintained database.
-    pub outputs_match: bool,
+row! {
+    /// One recovery-cadence row.
+    #[derive(Debug, Clone)]
+    pub struct RecoveryRow {
+        /// `snapshot_every` setting (0 = boot snapshot + full WAL replay).
+        pub cadence: u64 = Int(0),
+        /// Committed update batches before the simulated crash.
+        pub commits: usize = Int(1),
+        /// Wall time of open + snapshot load + session rebuild + tail
+        /// replay.
+        pub recovery_secs: f64 = Pos,
+        /// Snapshots written during the run (boot snapshot included).
+        pub snapshots_written: usize = Int(1),
+        /// WAL frames replayed on recovery.
+        pub wal_tail_frames: usize = Int(0),
+        /// Canonical identity against the pre-crash maintained database.
+        pub outputs_match: bool = True,
+    }
 }
 
-/// The register-scale probe.
-#[derive(Debug, Clone)]
-pub struct RegisterRow {
-    pub persons: usize,
-    /// Extensional facts in the loaded register.
-    pub total_facts: usize,
-    /// Generate + load wall time.
-    pub load_secs: f64,
-    /// Fixpoint wall time.
-    pub eval_secs: f64,
-    /// Snapshot write + reopen + session rebuild wall time.
-    pub recover_secs: f64,
-    /// Approximate heap bytes of the evaluated database.
-    pub heap_bytes: usize,
+row! {
+    /// The register-scale probe.
+    #[derive(Debug, Clone)]
+    pub struct RegisterRow {
+        pub persons: usize = Int(1),
+        /// Extensional facts in the loaded register.
+        pub total_facts: usize = Int(1),
+        /// Generate + load wall time.
+        pub load_secs: f64 = Pos,
+        /// Fixpoint wall time.
+        pub eval_secs: f64 = Pos,
+        /// Snapshot write + reopen + session rebuild wall time.
+        pub recover_secs: f64 = Pos,
+        /// Approximate heap bytes of the evaluated database.
+        pub heap_bytes: usize = Int(1),
+    }
 }
 
 /// Everything `repro --exp store` reports.
@@ -92,28 +108,7 @@ pub struct StoreBenchReport {
 }
 
 fn register_db(persons: usize, seed: u64) -> Database {
-    let out = generate(&CompanyGraphConfig {
-        persons,
-        companies: persons / 2,
-        seed,
-        ..Default::default()
-    });
-    let g = CompanyGraph::new(out.graph);
-    let mut db = Database::new();
-    load_facts(&g, &mut db);
-    db
-}
-
-/// Canonical (set-identity) image, the incremental layer's own lens.
-fn canon(db: &Database) -> Vec<String> {
-    let mut out = Vec::new();
-    for p in 0..db.pred_count() as u32 {
-        let pred = db.pred_name(p).to_owned();
-        for line in db.dump_canonical(&pred) {
-            out.push(format!("{pred}: {line}"));
-        }
-    }
-    out
+    fresh_db(&company_graph(persons, persons / 2, seed), None)
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +180,7 @@ fn run_recovery_sweep(cfg: &StoreBenchConfig, program: &Program) -> Vec<Recovery
                     snapshots_written += 1;
                 }
             }
-            canon(session.db())
+            set_image(session.db())
             // store + session dropped with no shutdown handshake.
         };
 
@@ -203,7 +198,7 @@ fn run_recovery_sweep(cfg: &StoreBenchConfig, program: &Program) -> Vec<Recovery
             recovery_secs,
             snapshots_written,
             wal_tail_frames: replayed,
-            outputs_match: canon(session.db()) == pre_crash,
+            outputs_match: set_image(session.db()) == pre_crash,
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -276,180 +271,17 @@ pub fn run_store_bench(cfg: &StoreBenchConfig) -> StoreBenchReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Writer + validator
-// ---------------------------------------------------------------------------
-
-/// Renders the `BENCH_store.json` document.
-pub fn render_store_json(cfg: &StoreBenchConfig, report: &StoreBenchReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", esc(STORE_SCHEMA)));
-    s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"updates\": {},\n", cfg.updates));
-    s.push_str("  \"recovery\": [\n");
-    for (i, r) in report.recovery_rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"cadence\": {},\n", r.cadence));
-        s.push_str(&format!("      \"commits\": {},\n", r.commits));
-        s.push_str(&format!(
-            "      \"recovery_secs\": {},\n",
-            num(r.recovery_secs)
-        ));
-        s.push_str(&format!(
-            "      \"snapshots_written\": {},\n",
-            r.snapshots_written
-        ));
-        s.push_str(&format!(
-            "      \"wal_tail_frames\": {},\n",
-            r.wal_tail_frames
-        ));
-        s.push_str(&format!("      \"outputs_match\": {}\n", r.outputs_match));
-        s.push_str(if i + 1 == report.recovery_rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ],\n");
-    let reg = &report.register;
-    s.push_str("  \"register\": {\n");
-    s.push_str(&format!("    \"persons\": {},\n", reg.persons));
-    s.push_str(&format!("    \"total_facts\": {},\n", reg.total_facts));
-    s.push_str(&format!("    \"load_secs\": {},\n", num(reg.load_secs)));
-    s.push_str(&format!("    \"eval_secs\": {},\n", num(reg.eval_secs)));
-    s.push_str(&format!(
-        "    \"recover_secs\": {},\n",
-        num(reg.recover_secs)
-    ));
-    s.push_str(&format!("    \"heap_bytes\": {}\n", reg.heap_bytes));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
-}
-
-fn want_count(v: &JVal, field: &str, min: f64) -> Result<(), String> {
-    let n = want_num(v, field)?;
-    if n < min || n.fract() != 0.0 {
-        return Err(format!("field '{field}' must be an integer >= {min}"));
-    }
-    Ok(())
-}
-
-fn want_pos(v: &JVal, field: &str) -> Result<(), String> {
-    let n = want_num(v, field)?;
-    if n <= 0.0 || n.is_nan() {
-        return Err(format!("field '{field}' must be > 0"));
-    }
-    Ok(())
-}
-
-fn want_match(v: &JVal) -> Result<(), String> {
-    match v.get("outputs_match") {
-        Some(JVal::Bool(true)) => Ok(()),
-        Some(JVal::Bool(false)) => Err("outputs_match is false — recovered state diverged".into()),
-        _ => Err("missing boolean field 'outputs_match'".into()),
-    }
-}
-
-/// Validates a `BENCH_store.json` document: schema tag, field presence and
-/// types, positive timings and matched outputs on every row.
-pub fn validate_store_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        STORE_SCHEMA,
-        &["persons", "seed", "threads", "updates"],
-    )?;
-
-    let recovery = non_empty_array(&doc, "recovery")?;
-    for (i, r) in recovery.iter().enumerate() {
-        let ctx = |msg: String| format!("recovery[{i}]: {msg}");
-        want_count(r, "cadence", 0.0).map_err(&ctx)?;
-        want_count(r, "commits", 1.0).map_err(&ctx)?;
-        want_pos(r, "recovery_secs").map_err(&ctx)?;
-        want_count(r, "snapshots_written", 1.0).map_err(&ctx)?;
-        want_count(r, "wal_tail_frames", 0.0).map_err(&ctx)?;
-        want_match(r).map_err(&ctx)?;
-    }
-
-    let reg = doc
-        .get("register")
-        .ok_or("missing object field 'register'")?;
-    if !matches!(reg, JVal::Obj(_)) {
-        return Err("field 'register' must be an object".into());
-    }
-    let ctx = |msg: String| format!("register: {msg}");
-    want_count(reg, "persons", 1.0).map_err(ctx)?;
-    let ctx = |msg: String| format!("register: {msg}");
-    want_count(reg, "total_facts", 1.0).map_err(ctx)?;
-    for field in ["load_secs", "eval_secs", "recover_secs"] {
-        want_pos(reg, field).map_err(|msg| format!("register: {msg}"))?;
-    }
-    want_count(reg, "heap_bytes", 1.0).map_err(|msg| format!("register: {msg}"))?;
-    Ok(())
+/// The `BENCH_store.json` document of a run.
+pub fn doc(cfg: &StoreBenchConfig, report: &StoreBenchReport) -> Json {
+    SCHEMA.doc(
+        cells![cfg.persons, cfg.seed, cfg.threads, cfg.updates],
+        vec![array(&report.recovery_rows), object(&report.register)],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_cfg() -> StoreBenchConfig {
-        StoreBenchConfig {
-            persons: 100,
-            seed: 1,
-            threads: 1,
-            updates: 4,
-            cadences: vec![0, 2],
-            register_persons: 100,
-        }
-    }
-
-    fn sample_report() -> StoreBenchReport {
-        StoreBenchReport {
-            recovery_rows: vec![RecoveryRow {
-                cadence: 2,
-                commits: 4,
-                recovery_secs: 0.02,
-                snapshots_written: 3,
-                wal_tail_frames: 1,
-                outputs_match: true,
-            }],
-            register: RegisterRow {
-                persons: 100,
-                total_facts: 500,
-                load_secs: 0.01,
-                eval_secs: 0.02,
-                recover_secs: 0.03,
-                heap_bytes: 65536,
-            },
-        }
-    }
-
-    #[test]
-    fn writer_output_validates() {
-        let text = render_store_json(&sample_cfg(), &sample_report());
-        validate_store_json(&text).expect("writer output must satisfy the schema");
-    }
-
-    #[test]
-    fn validator_rejects_broken_documents() {
-        let good = render_store_json(&sample_cfg(), &sample_report());
-        assert!(validate_store_json("not json").is_err());
-        assert!(validate_store_json(&good.replace(STORE_SCHEMA, "other/9")).is_err());
-        assert!(validate_store_json(&good.replace("\"cadence\"", "\"period\"")).is_err());
-        assert!(validate_store_json(
-            &good.replace("\"outputs_match\": true", "\"outputs_match\": false")
-        )
-        .is_err());
-        assert!(validate_store_json(&good.replace("\"register\"", "\"registry\"")).is_err());
-        let empty = StoreBenchReport {
-            recovery_rows: vec![],
-            ..sample_report()
-        };
-        assert!(validate_store_json(&render_store_json(&sample_cfg(), &empty)).is_err());
-    }
 
     #[test]
     fn store_bench_runs_end_to_end_on_a_tiny_graph() {
@@ -472,7 +304,9 @@ mod tests {
         assert_eq!(report.recovery_rows[0].wal_tail_frames, cfg.updates);
         assert!(report.recovery_rows[1].wal_tail_frames < cfg.updates);
         assert!(report.register.total_facts > 0 && report.register.heap_bytes > 0);
-        let text = render_store_json(&cfg, &report);
-        validate_store_json(&text).expect("real bench output must validate");
+        let text = SCHEMA.render(&doc(&cfg, &report));
+        SCHEMA
+            .validate(&text)
+            .expect("real bench output must validate");
     }
 }

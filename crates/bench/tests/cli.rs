@@ -3,7 +3,9 @@
 //! the `update` subcommand's incremental diff output, the `serve`
 //! subcommand's bind/round-trip/shutdown lifecycle, and durability —
 //! data-dir exit codes (missing dir 2; locked / incompatible store 1)
-//! plus a real SIGKILL-and-restart recovery round trip.
+//! plus a real SIGKILL-and-restart recovery round trip. The `repro`
+//! driver's usage errors (unknown experiment or scale, `--bench-json` on
+//! an experiment without an artifact) exit 2 before anything runs.
 
 use std::fs;
 use std::io::{BufRead, BufReader};
@@ -15,6 +17,13 @@ fn vadalink(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("vadalink runs")
+}
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -78,6 +87,50 @@ fn check_distinguishes_clean_errors_and_parse_failures() {
 
     let missing = dir.join("missing.vada");
     assert_eq!(code(&vadalink(&["check", missing.to_str().unwrap()])), 2);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_rejects_unknown_experiments_and_scales() {
+    for args in [
+        &["--exp", "bogus"][..],
+        &["--exp", "fig4z", "--scale", "huge"][..],
+        &["--scale", "huge"][..],
+        &["--exp"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(code(&out), 2, "args: {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let listed = if args.contains(&"--exp") {
+            "all|t1|fig4a"
+        } else {
+            "small|full"
+        };
+        assert!(err.contains(listed), "args: {args:?}, stderr: {err}");
+        assert!(out.stdout.is_empty(), "args: {args:?} ran something");
+    }
+}
+
+#[test]
+fn repro_bench_json_needs_an_experiment_with_an_artifact() {
+    let dir = scratch("repro-bench-json");
+    for exp in [
+        "t1",
+        "fig4a",
+        "fig4b",
+        "fig4c",
+        "fig4d",
+        "fig4e",
+        "threads",
+        "ablations",
+    ] {
+        let path = dir.join(format!("{exp}.json"));
+        let out = repro(&["--exp", exp, "--bench-json", path.to_str().unwrap()]);
+        assert_eq!(code(&out), 2, "--exp {exp}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("writes no artifact"), "--exp {exp}: {err}");
+        assert!(!path.exists(), "--exp {exp} wrote {}", path.display());
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

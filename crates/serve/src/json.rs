@@ -6,10 +6,6 @@
 //! parser accepts exactly the JSON grammar the protocol and the
 //! `BENCH_*.json` schemas emit — objects, arrays, strings with escapes,
 //! finite numbers, booleans and null — and rejects trailing content.
-//!
-//! This module started life inside `bench::bench_json`; it moved here so
-//! the serving layer's protocol and the benchmark validators parse with
-//! the same code.
 
 use std::fmt::Write as _;
 
